@@ -60,6 +60,17 @@ def percentile(values: Sequence[float], q: float) -> float:
     return float(np.percentile(np.asarray(values, dtype=float), q))
 
 
+def median_block_p90(values: Sequence[float], block: int) -> float:
+    """Median, over consecutive blocks of ``block`` samples, of each block's p90.
+
+    A trailing partial block is left out; fewer than ``block`` samples make
+    one block.  A run in which the host is slow for a few seconds then
+    reports the p90 of its usual seconds, not of the slow ones.
+    """
+    blocks = [values[start : start + block] for start in range(0, len(values) - block + 1, block)]
+    return float(np.median([percentile(part, 90) for part in blocks or [values]]))
+
+
 def mean(values: Sequence[float]) -> float:
     if len(values) == 0:
         raise ValueError("mean of an empty sample")

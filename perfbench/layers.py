@@ -68,8 +68,24 @@ def query_path_values(table: Table, counts: Dict[str, int]) -> Dict[str, float]:
 
 
 def coverage(table: Table, wall_s: float) -> float:
-    """Self time summed over every span, as a share of the traced wall time."""
-    return sum(row["self_s"] for row in table.values()) / wall_s
+    """Self time of the program's spans, as a share of the traced wall time.
+
+    The ``bench.*`` roots are the benchmark's own wrappers around a whole
+    operation; their self time is time no program layer claimed, so it is
+    left out, and a step the hooks miss between two layers lowers coverage.
+    A step missed *inside* a layer shows as that layer's self time instead
+    (``*_self_*`` in the traced report).
+    """
+    program = (row["self_s"] for name, row in table.items() if not name.startswith("bench."))
+    return sum(program) / wall_s
+
+
+def self_seconds(table: Table, name: str) -> float:
+    """Mean self time of one call of ``name``: its time outside every wrapped child."""
+    row = table.get(name)
+    if not row or not row["count"]:
+        return 0.0
+    return row["self_s"] / row["count"]
 
 
 def overhead_pct(traced_p50: float, untraced_p50: float) -> float:

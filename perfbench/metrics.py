@@ -2,11 +2,10 @@
 
 ``END_TO_END`` and ``PER_LAYER`` are exactly the lists in ``BENCHMARK.json``
 (a test pins that).  The benchmark format asks every run to print every listed
-metric, on every workload; a per-layer count that only one workload can
-reach (an update's incremental share) reads 0 elsewhere.  Per-layer
-*times* that only one workload reaches, and everything only the ungated
-``serve`` workload reaches, are not listed: the traced report prints them
-(``TRACE_ONLY``), so no listed time is a constant 0.
+metric, on every workload; a per-layer metric of a layer that only one
+workload reaches (the serving hops, the update stages) reads 0 on the
+others (``REACHED_BY``).  Diagnostics (``DIAGNOSTICS``) print in the
+report lines of the runs that measure them, never in the result line.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from perfbench.common import TIME_UNITS, Tally, to_unit
 END_TO_END: Dict[str, str] = {
     "setup_s": "s",
     "latency_p90_ms": "ms",
-    "latency_p50_ms": "ms",
     "reply_bytes_mean": "B",
     "memory_mb": "MB",
     "artifact_mb": "MB",
@@ -53,40 +51,44 @@ PER_LAYER: Dict[str, str] = {
     "ifmh.client_hashes_per_query": "count/query",
     "crypto.sig_verify_us": "us",
     "core.query_p50_ms": "ms",
-    "ifmh.incremental_share": "ratio",
-    "merkle.update_physical_hashes": "count/update",
-    "core.artifact.delta_mb": "MB",
-}
-
-#: Per-layer counts a single workload reaches; the others print 0.
-REACHED_BY = {
-    "ifmh.incremental_share": "update",
-    "merkle.update_physical_hashes": "update",
-    "core.artifact.delta_mb": "update",
-}
-
-#: Printed in the traced report of the one workload that reaches them.
-TRACE_ONLY: Dict[str, str] = {
-    "trace.coverage": "ratio",
     "serving.start_s": "s",
+    "serving.queue_delay_p50_ms": "ms",
+    "serving.worker_service_ms": "ms",
+    "serving.reply_transit_ms": "ms",
     "serving.batch_size_mean": "count/batch",
     "serving.worker_pss_mb": "MB",
     "serving.requeued": "count",
     "serving.respawns": "count",
-    "serving.queue_delay_p50_ms": "ms",
-    "serving.worker_service_ms": "ms",
-    "serving.reply_transit_ms": "ms",
-    "serving.latency_p90_ms": "ms",
-    "serving.latency_p99_ms": "ms",
-    "serving.generator_late_p99_ms": "ms",
     "ifmh.update_apply_ms": "ms",
+    "ifmh.incremental_share": "ratio",
+    "merkle.update_physical_hashes": "count/update",
     "core.artifact.delta_publish_ms": "ms",
+    "core.artifact.delta_mb": "MB",
     "core.server.swap_ms": "ms",
+}
+
+#: Per-layer metrics a single workload reaches; the others print 0.
+REACHED_BY = {
+    **{name: "serve" for name in PER_LAYER if name.startswith("serving.")},
+    "ifmh.update_apply_ms": "update",
+    "ifmh.incremental_share": "update",
+    "merkle.update_physical_hashes": "update",
+    "core.artifact.delta_publish_ms": "update",
+    "core.artifact.delta_mb": "update",
+    "core.server.swap_ms": "update",
+}
+
+#: Printed in the report of the workloads (and modes) that measure them.
+DIAGNOSTICS: Dict[str, str] = {
+    "trace.coverage": "ratio",
+    "core.server.execute_self_us": "us",
+    "core.artifact.publish_self_ms": "ms",
+    "serving.latency_p99_ms": "ms",
     "core.read_after_swap_p50_ms": "ms",
     "core.update_p50_ms": "ms",
 }
 
-UNITS: Dict[str, str] = {**END_TO_END, **PER_LAYER, **TRACE_ONLY}
+UNITS: Dict[str, str] = {**END_TO_END, **PER_LAYER, **DIAGNOSTICS}
 
 
 def in_units(values: Dict[str, float]) -> Dict[str, float]:

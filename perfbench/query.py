@@ -34,10 +34,10 @@ from perfbench.common import (
     require_samples,
 )
 from perfbench.inputs import make_inputs, plan_queries
-from perfbench.layers import coverage, overhead_pct, query_path_values, setup_values
+from perfbench.layers import coverage, overhead_pct, query_path_values, self_seconds, setup_values
 from perfbench.metrics import Outcome
 from perfbench.owner_setup import in_child
-from perfbench.tracing import Tracer, child_count, layer_hooks, verifier_hook
+from perfbench.tracing import Tracer, child_count, layer_hooks, modes, verifier_hook
 
 
 @dataclass(frozen=True)
@@ -87,11 +87,13 @@ def run(seed: int, seconds: float, trace: bool, shape: Shape = Shape()) -> Outco
         sizes: List[int] = []
         traced_wall = 0.0
         deadline = time.perf_counter() + seconds
-        done = 0
-        # A traced run alternates untraced and traced blocks; it needs one of each.
+        # A traced run sends each pass twice, untraced and then traced, so
+        # the overhead compares the same queries; it needs one of each.
+        schedule = [(p, traced) for p in range(passes) for traced in modes(tracer)]
         least = 2 if tracer is not None else 1
-        while done < passes and (done < least or time.perf_counter() < deadline):
-            traced = tracer is not None and done % 2 == 1
+        done = 0
+        while done < len(schedule) and (done < least or time.perf_counter() < deadline):
+            pass_index, traced = schedule[done]
             server = None
             gc.collect()
             server = Server.from_artifact(path)
@@ -100,7 +102,8 @@ def run(seed: int, seconds: float, trace: bool, shape: Shape = Shape()) -> Outco
                 tracer.phase = "window"
                 tracer.install(layer_hooks() + [verifier_hook(client.parameters.verifier)])
             block_started = time.perf_counter()
-            for position in range(done * shape.pass_queries, (done + 1) * shape.pass_queries):
+            first = pass_index * shape.pass_queries
+            for position in range(first, first + shape.pass_queries):
                 query = plan.query(position)
                 if traced:
                     tracer.request = position
@@ -123,7 +126,6 @@ def run(seed: int, seconds: float, trace: bool, shape: Shape = Shape()) -> Outco
         {
             "setup_s": percentile(setups, 50),
             "latency_p90_ms": percentile(latencies, 90),
-            "latency_p50_ms": percentile(latencies, 50),
             "reply_bytes_mean": mean(sizes),
             "memory_mb": peak_rss_mb(),
             "artifact_mb": artifact_mb,
@@ -144,6 +146,7 @@ def run(seed: int, seconds: float, trace: bool, shape: Shape = Shape()) -> Outco
         )
         outcome.values.update(query_path_values(window, tracer.counters))
         outcome.values["trace.coverage"] = coverage(window, traced_wall)
+        outcome.values["core.server.execute_self_us"] = self_seconds(window, "core.server.execute")
         outcome.values["trace.overhead_pct"] = overhead_pct(
             percentile(traced_latencies, 50), percentile(latencies, 50)
         )

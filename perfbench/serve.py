@@ -1,39 +1,37 @@
-"""``serve``: an open loop into ``ServingFrontEnd`` with 1 worker, n = 300.
+"""``serve``: one client in a closed loop through ``ServingFrontEnd``, 1 worker, n = 300.
 
 The only workload through the dispatcher, its queues and a worker process.
-Arrivals are Poisson at 300 queries/s from
-:func:`repro.serving.generate_trace`: 80 % use 4 hot weight vectors, 20 %
-use 32 cold ones.  The worker is warmed on every vector first, so leaves
-are materialised and the score cache hits: batching, linger, IPC and worker
-memory show here, first-touch costs do not.
+The client submits one query, waits for its reply, verifies it and submits
+the next.  Queries come from :func:`repro.serving.generate_trace` (its
+arrival times are not used): 80 % use 4 hot weight vectors, 20 % use 32
+cold ones.  The worker is warmed on every vector first, so leaves are
+materialised and the score cache hits: the batcher's linger, the pump, the
+queues, IPC and worker memory show here, first-touch costs do not.  A
+request's latency runs from ``submit`` until its reply reaches the
+front-end (the ticket's ``enqueued_at`` and ``completed_at`` stamps); the
+client's own verification runs between requests, outside it.
+``latency_p90_ms`` is the median, over blocks of ``block_requests``
+requests, of each block's p90: a few seconds in which the host deschedules
+the front-end's threads then do not set the whole run's figure.
 
-One worker, not one per core: the load-generating process (generator, collector and
-pump threads) needs a core of its own.  On a 2-core host, runs with 2
-workers interleaved with runs with 1 had a p90 of 7-12 ms in 3 of 5 runs,
-with worker service time up 40 %, against 4.5-4.8 ms in every 1-worker run.
+A closed loop rather than an open one: Poisson arrivals into the front-end
+put the load generator's scheduling into every latency, and on a 2-vCPU
+host that moved the p90 by 40-60 % from run to run (see
+``perfbench/evidence/README.md``).  With one request in flight the latency
+is the front-end's own path.
 
-``BENCHMARK.json`` does not gate this workload: on the 2-vCPU development
-host its latency follows how the host schedules the generator's threads more
-than the program (see ``perfbench/evidence/README.md``).  It stays for the
-serving hops' breakdown.
-
-Each request is timed from its *due* instant, so a late generator counts
-against latency.  The generator keeps itself out of the tail: a resolved reply
-is stored as its pickled bytes in the generator's idle time before the next
-due instant and the ticket dropped, and every reply is verified after the
-window.  Holding reply objects grows the generator's
-heap, and the cyclic collector's passes over it then stall the generator
-(p99 near 100 ms at this rate); verifying inside the window stalls it too.
+One worker, not one per core: the client's process (client, pump and
+collector threads) needs a core of its own.
 """
 
 from __future__ import annotations
 
 import gc
+import math
 import multiprocessing
 import os
 import time
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 import repro.serving.dispatcher as dispatcher_module
@@ -47,6 +45,7 @@ from perfbench.common import (
     Tally,
     WorkDir,
     mean,
+    median_block_p90,
     percentile,
     pss_mb,
     require_samples,
@@ -69,35 +68,28 @@ from perfbench.tracing import (
 @dataclass(frozen=True)
 class Shape:
     n_records: int = 300
-    rate: float = 300.0
     workers: int = 1
     hot_fraction: float = 0.8
     hot_vectors: int = 4
     cold_vectors: int = 32
     setup_reps: int = 3
     key_bits: int = 2048
-    #: Seconds the window waits for its last replies.
-    drain_timeout: float = 30.0
-    #: Seconds between "now" and the first due instant.
-    lead: float = 0.05
-
-
-#: Seconds of slack before a due instant that storing one reply may use
-#: (pickling a reply takes about 0.1-0.15 ms here).
-HARVEST_MARGIN = 0.001
+    #: Queries planned per second of window: a ceiling well above today's rate.
+    plan_rate: float = 1000.0
+    #: Seconds a request may wait for its reply before it counts as timed out.
+    reply_timeout: float = 30.0
+    #: Requests per block of ``median_block_p90``.
+    block_requests: int = 500
 
 
 @dataclass
-class Segment:
-    """What one front-end served: per-request stamps and reply bytes."""
+class Window:
+    """What one closed-loop window measured; seconds throughout."""
 
-    indices: List[int]
-    due: List[float]
-    enqueued: List[float]
-    dispatched: List[float]
-    completed: List[float]
-    epochs: List[int]
-    blobs: List[bytes]
+    latencies: List[float] = field(default_factory=list)
+    queue_delays: List[float] = field(default_factory=list)
+    transits: List[float] = field(default_factory=list)
+    sizes: List[int] = field(default_factory=list)
 
 
 def worker_pids() -> List[int]:
@@ -127,90 +119,60 @@ def warm(frontend: ServingFrontEnd, client: Client, queries: Sequence, tally: Ta
 def settle() -> None:
     """Collect, then exempt everything alive from later collections.
 
-    The pre-generated trace and the set-up leave a large heap in the generator
-    process, which also runs the front-end's threads; without this, the
-    first full collections of the window walk all of it and stall both.
-    :func:`run` unfreezes when it ends.
+    The set-up leaves a large heap in the client's process, which also runs
+    the front-end's threads; without this, each full collection in the
+    window walks all of it while a request waits.  :func:`run` unfreezes
+    when it ends.
     """
     gc.collect()
     gc.freeze()
 
 
-def drive(
+def closed_loop(
     frontend: ServingFrontEnd,
-    arrivals: Sequence,
+    client: Client,
+    queries: Sequence,
     first: int,
+    seconds: float,
     tally: Tally,
     timeout: float,
-    lead: float,
     tracer=None,
-) -> Segment:
-    """Submit ``arrivals`` at their due instants; keep each reply as bytes.
+) -> Window:
+    """Serve ``queries[first:]`` one at a time for ``seconds`` (at least one).
 
-    ``first`` is the trace index of ``arrivals[0]``; a reply that errors or
-    misses ``timeout`` after the last submission is a failed operation.
+    An error, a missed ``timeout``, a rejected verification or a wrong
+    epoch is a failed operation and never a latency sample.
     """
-    segment = Segment([], [], [], [], [], [], [])
-    clock = frontend.clock
-    origin = clock.now() + lead - arrivals[0].offset
-    pending: deque = deque()
-
-    def harvest(index: int, due: float, ticket) -> None:
+    window = Window()
+    deadline = time.perf_counter() + seconds
+    position = first
+    while position < len(queries) and (position == first or time.perf_counter() < deadline):
+        query = queries[position]
+        if tracer is not None:
+            tracer.request = position
+        position += 1
+        tally.attempt()
+        ticket = frontend.submit(query)
+        if not ticket.wait(timeout):
+            tally.fail("timed out (no reply)")
+            continue
         if ticket.error is not None:
             tally.fail(f"worker error: {ticket.error}")
-            return
+            continue
         reply = ticket.reply
-        if tracer is not None:
-            tracer.request = index
-        segment.indices.append(index)
-        segment.due.append(due)
-        segment.enqueued.append(ticket.enqueued_at)
-        segment.dispatched.append(ticket.dispatched_at)
-        segment.completed.append(ticket.completed_at)
-        segment.epochs.append(reply.epoch)
-        segment.blobs.append(ops.encode(reply.result, reply.verification_object))
-
-    for offset, arrival in enumerate(arrivals):
-        due = origin + arrival.offset
-        # Store resolved replies only while the next arrival is far enough
-        # off, so that pickling them never makes the generator late.
-        while pending and pending[0][2].done and clock.now() + HARVEST_MARGIN < due:
-            harvest(*pending.popleft())
-        clock.sleep_until(due)
-        tally.attempt()
-        if tracer is not None:
-            tracer.request = first + offset
-        pending.append((first + offset, due, frontend.submit(arrival.query)))
-    frontend.flush()
-    deadline = clock.now() + timeout
-    while pending:
-        index, due, ticket = pending.popleft()
-        if ticket.wait(max(0.0, deadline - clock.now())):
-            harvest(index, due, ticket)
-        else:
-            tally.fail("timed out (no reply)")
-    return segment
-
-
-def verify_segment(
-    segment: Segment, queries: Sequence, client: Client, tally: Tally, tracer=None
-) -> List[int]:
-    """Verify every stored reply after the window; returns the positions that verified."""
-    verified = []
-    for position, (index, blob, epoch) in enumerate(
-        zip(segment.indices, segment.blobs, segment.epochs)
-    ):
-        if tracer is not None:
-            tracer.request = index
+        blob = ops.encode(reply.result, reply.verification_object)
         result, vo = ops.decode(blob)
-        report = client.verify(queries[index], result, vo)
+        report = client.verify(query, result, vo)
         if not report.is_valid:
             tally.fail(verdict_reason(report))
-        elif epoch != client.parameters.epoch:
-            tally.fail(f"served epoch {epoch}, expected {client.parameters.epoch}")
+        elif reply.epoch != client.parameters.epoch:
+            tally.fail(f"served epoch {reply.epoch}, expected {client.parameters.epoch}")
         else:
-            verified.append(position)
-    return verified
+            window.latencies.append(ticket.completed_at - ticket.enqueued_at)
+            window.queue_delays.append(ticket.dispatched_at - ticket.enqueued_at)
+            window.transits.append(ticket.completed_at - ticket.dispatched_at)
+            window.sizes.append(len(blob))
+    return window
 
 
 def stat_totals(frontend: ServingFrontEnd) -> Dict[str, float]:
@@ -221,31 +183,25 @@ def stat_totals(frontend: ServingFrontEnd) -> Dict[str, float]:
 
 
 def hop_values(
-    frontend: ServingFrontEnd, before: Dict[str, float], segment: Segment, verified: List[int]
+    frontend: ServingFrontEnd, before: Dict[str, float], window: Window
 ) -> Dict[str, float]:
-    """Serving hops, in seconds, from the front-end's stamps and ``worker_stats()``.
+    """Serving hops, in seconds, from the tickets' stamps and ``worker_stats()``.
 
     ``before`` holds the totals at the start of the window, so the warm-up
     does not count.
     """
-    pick = lambda values: [values[position] for position in verified]  # noqa: E731
-    due, enqueued = pick(segment.due), pick(segment.enqueued)
-    dispatched, completed = pick(segment.dispatched), pick(segment.completed)
     after = stat_totals(frontend)
-    window = {key: after[key] - before[key] for key in after}
-    service_s = window["busy_seconds"] / window["served"]
-    latency = [c - d for c, d in zip(completed, due)]
+    served = {key: after[key] - before[key] for key in after}
+    service_s = served["busy_seconds"] / served["served"]
     return {
-        "serving.queue_delay_p50_ms": percentile([d - e for d, e in zip(dispatched, enqueued)], 50),
+        "serving.queue_delay_p50_ms": percentile(window.queue_delays, 50),
         "serving.worker_service_ms": service_s,
-        "serving.reply_transit_ms": mean([c - d for c, d in zip(completed, dispatched)]) - service_s,
-        "serving.batch_size_mean": window["served"] / window["batches"],
+        "serving.reply_transit_ms": mean(window.transits) - service_s,
+        "serving.batch_size_mean": served["served"] / served["batches"],
         "serving.requeued": frontend.requeued,
         "serving.respawns": after["respawns"],
-        "serving.latency_p90_ms": percentile(latency, 90),
-        "serving.latency_p99_ms": percentile(latency, 99),
-        "serving.generator_late_p99_ms": percentile([e - d for e, d in zip(enqueued, due)], 99),
-        "core.query_p50_ms": percentile(latency, 50),
+        "serving.latency_p99_ms": percentile(window.latencies, 99),
+        "core.query_p50_ms": percentile(window.latencies, 50),
     }
 
 
@@ -268,8 +224,8 @@ def _run(seed: int, seconds: float, trace: bool, shape: Shape) -> Outcome:
             dataset,
             template,
             TrafficConfig(
-                rate=shape.rate,
-                count=max(2, round(shape.rate * seconds)),
+                rate=shape.plan_rate,
+                count=max(2, math.ceil(shape.plan_rate * seconds)),
                 hot_fraction=shape.hot_fraction,
                 hot_vectors=shape.hot_vectors,
                 cold_vectors=shape.cold_vectors,
@@ -281,6 +237,7 @@ def _run(seed: int, seconds: float, trace: bool, shape: Shape) -> Outcome:
         firsts = {}
         for arrival in traffic.arrivals:
             firsts.setdefault(arrival.weight_id, arrival.query)
+        del traffic
         client = Client.from_artifact(path)
 
         setups, starts = [], []
@@ -294,20 +251,18 @@ def _run(seed: int, seconds: float, trace: bool, shape: Shape) -> Outcome:
             starts.append(time.perf_counter() - started)
             setups.append(sum(stage.values()) + starts[-1])
 
-        # The traced mode serves the first half untraced and the second half
-        # on a front-end forked with the hooks installed.
-        split = len(queries) // 2 if trace else len(queries)
+        # The traced mode serves half the window untraced, then the same
+        # queries for as long again on a front-end forked with the hooks
+        # installed.
+        share = seconds / 2 if trace else seconds
         try:
             warm(frontend, client, list(firsts.values()), tally)
             settle()
             before = stat_totals(frontend)
-            plain = drive(
-                frontend, traffic.arrivals[:split], 0, tally, shape.drain_timeout, shape.lead
-            )
-            memory_mb = pss_mb(os.getpid()) + sum(pss_mb(pid) for pid in worker_pids())
+            plain = closed_loop(frontend, client, queries, 0, share, tally, shape.reply_timeout)
             worker_pss = sum(pss_mb(pid) for pid in worker_pids())
-            plain_ok = verify_segment(plain, queries, client, tally)
-            hops = hop_values(frontend, before, plain, plain_ok)
+            memory_mb = pss_mb(os.getpid()) + worker_pss
+            hops = hop_values(frontend, before, plain)
         finally:
             frontend.stop()
 
@@ -328,17 +283,17 @@ def _run(seed: int, seconds: float, trace: bool, shape: Shape) -> Outcome:
                 traced_frontend.start()
                 hashes_before = client.counters.hash_operations
                 warm(traced_frontend, client, list(firsts.values()), tally)
-                settle()
-                traced = drive(
+                served_before = stat_totals(traced_frontend)["served"]
+                traced = closed_loop(
                     traced_frontend,
-                    traffic.arrivals[split:],
-                    split,
+                    client,
+                    queries,
+                    0,
+                    share,
                     tally,
-                    shape.drain_timeout,
-                    shape.lead,
+                    shape.reply_timeout,
                     tracer,
                 )
-                traced_ok = verify_segment(traced, queries, client, tally, tracer)
                 client_hashes = client.counters.hash_operations - hashes_before
                 served = stat_totals(traced_frontend)["served"]
             finally:
@@ -347,14 +302,12 @@ def _run(seed: int, seconds: float, trace: bool, shape: Shape) -> Outcome:
             worker_table, worker_counts = read_worker_dumps(dumps)
             outcome.report["worker_dumps"] = worker_counts["dumps"]
 
-    require_samples(plain_ok, tally, "served request")
-    latencies = [plain.completed[p] - plain.due[p] for p in plain_ok]
+    require_samples(plain.latencies, tally, "served request")
     outcome.values.update(
         {
             "setup_s": percentile(setups, 50),
-            "latency_p50_ms": percentile(latencies, 50),
-            "latency_p90_ms": percentile(latencies, 90),
-            "reply_bytes_mean": mean([len(blob) for blob in plain.blobs]),
+            "latency_p90_ms": median_block_p90(plain.latencies, shape.block_requests),
+            "reply_bytes_mean": mean(plain.sizes),
             "memory_mb": memory_mb,
             "artifact_mb": artifact_mb,
             "serving.start_s": percentile(starts, 50),
@@ -363,25 +316,27 @@ def _run(seed: int, seconds: float, trace: bool, shape: Shape) -> Outcome:
         }
     )
     outcome.report["setup_s_reps"] = setups
-    outcome.report["requests_verified"] = len(plain_ok)
+    outcome.report["requests_verified"] = len(plain.latencies)
     if tracer is not None:
-        generator = tracer.summary(["window"])
+        client_table = tracer.summary(["window"])
         outcome.report["spans"] = {
             "setup (owner child)": owner["layers"],
-            "generator": generator,
+            "client": client_table,
             "workers": worker_table,
         }
-        table = merge_summaries(worker_table, generator)
+        table = merge_summaries(worker_table, client_table)
         outcome.values.update(
             setup_values(owner["layers"], shape.setup_reps, owner["counters"], owner["peak_rss_mb"], worker_table)
         )
         tracer.counters.update(worker_counts)
+        # Worker counts include the warm-ups; client hashes include the
+        # warm-up's verifications too, so both divide by every query served.
         tracer.counters["queries"] = served
         tracer.counters["client_hashes"] = client_hashes
         outcome.values.update(query_path_values(table, tracer.counters))
-        traced_latencies = [traced.completed[p] - traced.due[p] for p in traced_ok]
         outcome.values["trace.overhead_pct"] = overhead_pct(
-            percentile(traced_latencies, 50), percentile(latencies, 50)
+            percentile(traced.latencies, 50), percentile(plain.latencies, 50)
         )
+        outcome.report["traced_window_served"] = served - served_before
         outcome.tracer = tracer
     return outcome

@@ -1,10 +1,10 @@
 """Repeat runs behind the benchmark's bounds: interleaved sets, spreads, drift.
 
-    python3 perfbench/steadiness.py --seeds 1-10 --sets 2 --out perfbench/evidence/steadiness.json
+    python3 perfbench/steadiness.py --seeds 1-10 --out perfbench/evidence/steadiness.json
 
-Runs ``perfbench/run.py`` untraced for every workload and seed, once per
-set, alternating which set goes first from seed to seed (sets run back to
-back drift apart on a host whose CPU speed changes in spells).  For every
+Runs ``perfbench/run.py`` untraced for every workload and seed, once in each
+of two sets, alternating which set goes first from seed to seed (sets run
+back to back drift apart on a host whose CPU speed changes in spells).  For every
 end-to-end metric it reports each set's median and quartiles
 (``statistics.quantiles(values, n=4)``), the spread (interquartile distance
 over median) and how far the second set's median moved from the first's,
@@ -23,6 +23,8 @@ import time
 from pathlib import Path
 
 CHECKOUT = Path(__file__).resolve().parent.parent
+#: The two interleaved sets of runs whose medians are compared.
+SETS = ("0", "1")
 
 
 def parse_seeds(text: str):
@@ -85,9 +87,8 @@ def summarize(records: list, benchmark: dict) -> dict:
                     "spread": (q3 - q1) / statistics.median(values),
                     "values": values,
                 }
-            labels = sorted(row["sets"])
-            if len(labels) >= 2:
-                first, second = row["sets"][labels[0]], row["sets"][labels[1]]
+            if all(label in row["sets"] for label in SETS):
+                first, second = (row["sets"][label] for label in SETS)
                 row["drift"] = second["median"] / first["median"] - 1.0
             rows[name] = row
         summary[workload] = rows
@@ -115,7 +116,7 @@ def markdown(summary: dict, saved: dict) -> str:
     for workload, rows in summary.items():
         for name, row in rows.items():
             cells = []
-            for label in ("0", "1"):
+            for label in SETS:
                 entry = row["sets"].get(label)
                 cells += (
                     [f"{entry['median']:.4g} [{entry['q1']:.4g}, {entry['q3']:.4g}]", f"{entry['spread']:.3f}"]
@@ -131,7 +132,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workloads", nargs="+", default=None)
     parser.add_argument("--seeds", default="1-10")
-    parser.add_argument("--sets", type=int, default=2)
     parser.add_argument("--seconds", type=int, default=None)
     parser.add_argument("--out", type=Path)
     parser.add_argument("--summarize", type=Path)
@@ -150,9 +150,7 @@ def main(argv=None) -> int:
     records = []
     saved = {"seconds": seconds, "seeds": args.seeds, "records": records}
     for position, seed in enumerate(parse_seeds(args.seeds)):
-        order = list(range(args.sets))
-        if position % 2:
-            order.reverse()
+        order = SETS if position % 2 == 0 else SETS[::-1]
         for workload in workloads:
             for label in order:
                 record = one_run(workload, seed, seconds)

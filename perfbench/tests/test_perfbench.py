@@ -14,15 +14,16 @@ import time
 import pytest
 
 from perfbench import query, serve, update
-from perfbench.common import CHECKOUT, metric, percentile, to_unit
+from perfbench.common import CHECKOUT, TIME_UNITS, median_block_p90, metric, percentile, to_unit
 from perfbench.inputs import KINDS, RESULT_SIZE, make_inputs, plan_chain, plan_queries
-from perfbench.metrics import END_TO_END, PER_LAYER, REACHED_BY, TRACE_ONLY, in_units, layer_table
+from perfbench.layers import coverage
+from perfbench.metrics import DIAGNOSTICS, END_TO_END, PER_LAYER, REACHED_BY, in_units, layer_table
 from perfbench.tracing import Tracer, summarize
 
 SMALL = {
     "query": query.Shape(n_records=40, pass_queries=40, setup_reps=1, key_bits=512),
-    "serve": serve.Shape(n_records=40, rate=200.0, setup_reps=1, key_bits=512, hot_vectors=2, cold_vectors=3),
-    "update": update.Shape(n_records=30, chain=4, reads=2, setup_reps=1, key_bits=512),
+    "serve": serve.Shape(n_records=40, setup_reps=1, key_bits=512, hot_vectors=2, cold_vectors=3, plan_rate=200.0),
+    "update": update.Shape(n_records=30, owners=2, setup_reps=1, chain=2, reads=2, key_bits=512, min_chains=2),
 }
 MODULES = {"query": query, "serve": serve, "update": update}
 
@@ -34,6 +35,13 @@ def test_percentile_interpolates_linearly():
     assert percentile(values, 90) == pytest.approx(9.1)
     assert percentile([7.0], 90) == 7.0
     assert percentile(list(reversed(values)), 0) == 1.0
+
+
+def test_median_block_p90_ignores_a_minority_of_slow_blocks():
+    calm = [1.0] * 9 + [2.0]
+    slow = [5.0] * 10
+    assert median_block_p90(calm * 3 + slow + [9.0] * 4, 10) == pytest.approx(1.1)
+    assert median_block_p90([1.0, 2.0], 10) == percentile([1.0, 2.0], 90)
 
 
 @pytest.mark.parametrize("bad", [[], ()])
@@ -73,13 +81,13 @@ def test_metric_keeps_every_digit():
 def test_benchmark_json_matches_the_metric_tables():
     bench = json.loads((CHECKOUT / "BENCHMARK.json").read_text())
     assert set(bench) == {"command", "paths", "run_seconds", "workloads", "end_to_end", "per_layer"}
-    assert [w["name"] for w in bench["workloads"]] == ["query", "update"]
+    assert [w["name"] for w in bench["workloads"]] == ["query", "serve", "update"]
     assert {e["name"]: e["unit"] for e in bench["end_to_end"]} == END_TO_END
     assert {e["name"]: e["unit"] for e in bench["per_layer"]} == PER_LAYER
     bounds = {e["name"]: e["bound"] for e in bench["end_to_end"]}
     assert all(0 < bound <= 0.25 for bound in bounds.values())
     assert bounds["setup_s"] == max(bounds.values())
-    assert not set(TRACE_ONLY) & set(PER_LAYER)
+    assert not set(DIAGNOSTICS) & (set(PER_LAYER) | set(END_TO_END))
 
 
 def test_layer_table_fills_only_other_workloads_counts():
@@ -87,6 +95,7 @@ def test_layer_table_fills_only_other_workloads_counts():
     table = layer_table("query", values)
     assert set(table) == set(PER_LAYER)
     assert table["ifmh.incremental_share"] == 0.0
+    assert table["serving.queue_delay_p50_ms"] == 0.0
     del values["itree.search_us"]
     with pytest.raises(KeyError):
         layer_table("query", values)
@@ -139,6 +148,16 @@ def test_self_times_of_a_tree_sum_to_its_root():
     assert "other" not in table
 
 
+def test_coverage_leaves_out_the_benchmarks_own_roots():
+    spans = [
+        ["bench.query", 0.0, 10.0, -1, 1, "window"],
+        ["core.server.execute", 1.0, 4.0, 0, 1, "window"],
+        ["core.client.verify", 5.0, 9.0, 0, 1, "window"],
+    ]
+    # 3 s of the root's 10 s are claimed by no program layer.
+    assert coverage(summarize(spans), 10.0) == pytest.approx(0.7)
+
+
 class _Layer:
     def outer(self):
         time.sleep(0.002)
@@ -175,18 +194,12 @@ def test_reduced_run_emits_every_end_to_end_metric(name):
         assert outcome.values[metric_name] > 0, metric_name
 
 
-TRACED_ONLY_BY = {
-    "query": ["trace.coverage"],
-    "serve": [
-        name
-        for name in TRACE_ONLY
-        if name.startswith("serving.") and name not in ("serving.requeued", "serving.respawns")
-    ],
+DIAGNOSTICS_BY = {
+    "query": ["trace.coverage", "core.server.execute_self_us"],
+    "serve": ["serving.latency_p99_ms"],
     "update": [
         "trace.coverage",
-        "ifmh.update_apply_ms",
-        "core.artifact.delta_publish_ms",
-        "core.server.swap_ms",
+        "core.artifact.publish_self_ms",
         "core.read_after_swap_p50_ms",
         "core.update_p50_ms",
     ],
@@ -201,9 +214,19 @@ def test_reduced_traced_run_emits_every_per_layer_metric(name):
     table = layer_table(name, outcome.values)
     assert set(table) == set(PER_LAYER)
     reached = [n for n in PER_LAYER if REACHED_BY.get(n, name) == name]
-    assert all(table[n] >= 0 or n == "trace.overhead_pct" for n in reached)
-    assert all(outcome.values[n] > 0 for n in TRACED_ONLY_BY[name])
+    times = [n for n in reached if PER_LAYER[n] in TIME_UNITS and n != "trace.overhead_pct"]
+    assert [n for n in times if not table[n] > 0] == []
+    assert all(table[n] >= 0 for n in reached if n != "trace.overhead_pct")
+    assert all(outcome.values[n] > 0 for n in DIAGNOSTICS_BY[name])
     assert outcome.tracer.spans
+
+
+def test_update_measures_a_prefix_of_one_seeded_sequence():
+    shape = SMALL["update"]
+    short = update.run(seed=2, seconds=0.1, trace=False, shape=shape)
+    longer = update.run(seed=2, seconds=1.5, trace=False, shape=shape)
+    assert short.report["chain_runs"] == shape.min_chains < longer.report["chain_runs"]
+    assert short.values["artifact_mb"] == longer.values["artifact_mb"]
 
 
 def test_tampered_reply_is_a_failure_not_a_latency_sample(monkeypatch):

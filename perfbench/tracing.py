@@ -77,6 +77,11 @@ def layer_hooks() -> List[Hook]:
     ]
 
 
+def modes(tracer: Optional["Tracer"]) -> Tuple[bool, ...]:
+    """How each block of work runs: untraced, then (in a traced run) traced again."""
+    return (False,) if tracer is None else (False, True)
+
+
 def verifier_hook(verifier) -> Hook:
     """The signature check, on whichever verifier class the client holds."""
     return (type(verifier), "verify", "crypto.sig_verify")
