@@ -3,17 +3,22 @@
 Architecture (one :class:`ServingFrontEnd` instance)::
 
     submit(query) ──> weight-keyed batcher ──> per-worker request queues
-                        (max_batch / max_linger)        │ (N processes, each a
+                     (load-adaptive, max_batch)         │ (N processes, each a
                                                         │  Server.from_artifact
     ServingTicket <── collector thread <── reply queue ─┘  cold start)
 
-* **Batching.**  Queries are grouped by weight vector (the axis
-  :meth:`repro.core.server.Server.execute_batch` amortizes: one subdomain
-  search and one scoring pass per distinct weight vector).  A group is
-  flushed to a worker when it reaches ``max_batch`` queries or when its
-  oldest query has lingered ``max_linger`` seconds -- bounded batch size
-  bounds per-query service cost, bounded linger bounds the latency a
-  low-rate weight vector can pay waiting for co-batchees.
+* **Load-adaptive batching.**  Queries are grouped by weight vector (the
+  axis :meth:`repro.core.server.Server.execute_batch` amortizes: one
+  subdomain search and one scoring pass per distinct weight vector).  A
+  pending group leaves at once for a ready worker with no outstanding
+  batch -- checked when a query is submitted or requeued, when a reply
+  frees a worker and when a worker reports ready -- oldest group first.
+  Batches therefore form only while every worker is busy, and a group that
+  reaches ``max_batch`` goes at once to the least-loaded worker, so under
+  saturation whole batches queue up (after Clipper's adaptive batching,
+  Crankshaw et al., NSDI 2017).  At low load a query never waits for
+  co-batchees; at high load batching amortizes as much as ``max_batch``
+  allows.
 * **Routing.**  Batches go to the ready worker with the fewest outstanding
   queries (ties broken round-robin), over one multiprocessing queue per
   worker; replies multiplex onto one shared reply queue.
@@ -37,8 +42,9 @@ Architecture (one :class:`ServingFrontEnd` instance)::
 Determinism discipline (RL010): this module never reads the wall clock
 directly -- all timestamps come from the injected
 :class:`~repro.serving.recorder.ServingClock` -- and contains no
-randomness at all; given the same trace and worker replies, every batching
-and routing decision replays identically.
+randomness at all.  No batching or routing decision consults a timer: they
+depend only on the order of submissions and worker replies, so the same
+order replays the same batches to the same workers.
 """
 
 from __future__ import annotations
@@ -64,9 +70,10 @@ __all__ = [
     "wait_all",
 ]
 
-#: Default batching policy: bounded batch size, bounded linger.
+#: Default cap on the queries one batch carries.
 DEFAULT_MAX_BATCH = 8
-DEFAULT_MAX_LINGER = 0.002
+#: Seconds between the pump's worker-liveness checks (crash detection only).
+PUMP_TICK = 0.001
 #: Default seconds to wait for all workers to cold-start.
 DEFAULT_START_TIMEOUT = 120.0
 
@@ -167,16 +174,6 @@ class _WorkerSlot:
         return sum(len(tickets) for tickets in self.outstanding.values())
 
 
-class _WeightGroup:
-    """Pending same-weight tickets waiting to fill a batch."""
-
-    __slots__ = ("tickets", "oldest_enqueue")
-
-    def __init__(self) -> None:
-        self.tickets: List[ServingTicket] = []
-        self.oldest_enqueue: Optional[float] = None
-
-
 class ServingFrontEnd:
     """N worker processes behind one batching, crash-recovering dispatcher."""
 
@@ -188,7 +185,6 @@ class ServingFrontEnd:
         base=None,
         expected_epoch: Optional[int] = None,
         max_batch: int = DEFAULT_MAX_BATCH,
-        max_linger: float = DEFAULT_MAX_LINGER,
         clock: Optional[ServingClock] = None,
         auto_respawn: bool = True,
         start_timeout: float = DEFAULT_START_TIMEOUT,
@@ -197,12 +193,9 @@ class ServingFrontEnd:
             raise ValueError(f"a serving front-end needs >= 1 worker, got {workers}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_linger < 0:
-            raise ValueError(f"max_linger must be >= 0, got {max_linger}")
         self.artifact_path = str(artifact_path)
         self.workers = workers
         self.max_batch = max_batch
-        self.max_linger = max_linger
         self.clock = clock if clock is not None else ServingClock()
         self.auto_respawn = auto_respawn
         self.start_timeout = start_timeout
@@ -221,7 +214,10 @@ class ServingFrontEnd:
         self._lock = threading.Lock()
         self._state_changed = threading.Condition(self._lock)
         self._slots: Dict[int, _WorkerSlot] = {}
-        self._pending: Dict[tuple, _WeightGroup] = {}
+        # Weight vector -> its pending tickets.  Groups are created when
+        # their first ticket arrives and leave whole, so insertion order is
+        # oldest group first.
+        self._pending: Dict[tuple, List[ServingTicket]] = {}
         self._reply_queue = None
         self._running = False
         self._ticket_counter = 0
@@ -321,13 +317,14 @@ class ServingFrontEnd:
             self._ticket_counter += 1
             self._submitted += 1
             self._enqueue_locked(ticket)
+            self._dispatch_idle_locked()
         return ticket
 
     def submit_many(self, queries: Sequence[AnalyticQuery]) -> List[ServingTicket]:
         return [self.submit(query) for query in queries]
 
     def flush(self) -> None:
-        """Dispatch every pending group regardless of size or linger."""
+        """Dispatch every pending group now, to the least-loaded workers."""
         with self._lock:
             for key in list(self._pending):
                 self._flush_group_locked(key)
@@ -545,27 +542,37 @@ class ServingFrontEnd:
 
     def _enqueue_locked(self, ticket: ServingTicket) -> None:
         key = tuple(ticket.query.weights)
-        group = self._pending.get(key)
-        if group is None:
-            group = self._pending[key] = _WeightGroup()
-        if not group.tickets:
-            group.oldest_enqueue = self.clock.now()
-        group.tickets.append(ticket)
-        if len(group.tickets) >= self.max_batch:
+        group = self._pending.setdefault(key, [])
+        group.append(ticket)
+        if len(group) >= self.max_batch:
             self._flush_group_locked(key)
 
     def _flush_group_locked(self, key: tuple) -> None:
-        group = self._pending.get(key)
-        if group is None or not group.tickets:
-            return
         slot = self._pick_worker_locked()
         if slot is None:
-            return  # no ready worker right now; the pump retries after respawn
-        del self._pending[key]
-        self._dispatch_locked(slot, group.tickets)
+            return  # no ready worker right now; the next "ready" dispatches it
+        self._dispatch_locked(slot, self._pending.pop(key))
 
-    def _pick_worker_locked(self) -> Optional[_WorkerSlot]:
-        ready = [slot for slot in self._slots.values() if slot.ready]
+    def _dispatch_idle_locked(self) -> None:
+        """Hand the oldest pending groups to ready workers owing nothing.
+
+        Stops with the front-end: replies still arriving during ``stop`` must
+        not send new batches after the workers' stop messages.
+        """
+        while self._running and self._pending:
+            slot = self._pick_worker_locked(idle=True)
+            if slot is None:
+                return
+            self._dispatch_locked(slot, self._pending.pop(next(iter(self._pending))))
+
+    def _pick_worker_locked(self, *, idle: bool = False) -> Optional[_WorkerSlot]:
+        """The ready worker with the fewest outstanding queries, ties broken
+        round-robin; with ``idle``, only a worker owing nothing qualifies."""
+        ready = [
+            slot
+            for slot in self._slots.values()
+            if slot.ready and not (idle and slot.outstanding)
+        ]
         if not ready:
             return None
         count = len(self._slots)
@@ -603,6 +610,7 @@ class ServingFrontEnd:
         for ticket in orphans:
             self._requeued += 1
             self._enqueue_locked(ticket)
+        self._dispatch_idle_locked()
         self._swap_pending.discard(slot.worker_id)
         self._state_changed.notify_all()
         if self._running:
@@ -610,19 +618,11 @@ class ServingFrontEnd:
 
     # --------------------------------------------------------------- threads
     def _pump_loop(self) -> None:
-        """Linger-based flushing plus worker-death detection."""
-        tick = max(0.0005, self.max_linger / 2) if self.max_linger else 0.002
+        """Worker-death detection; dispatch never waits on this thread."""
         while True:
             with self._state_changed:
                 if not self._running:
                     return
-                now = self.clock.now()
-                for key, group in list(self._pending.items()):
-                    if (
-                        group.tickets
-                        and now - group.oldest_enqueue >= self.max_linger
-                    ):
-                        self._flush_group_locked(key)
                 for slot in self._slots.values():
                     if (
                         slot.process is not None
@@ -635,7 +635,7 @@ class ServingFrontEnd:
                             slot.ready = False
                             self._swap_pending.discard(slot.worker_id)
                             self._state_changed.notify_all()
-            self.clock.sleep(tick)
+            self.clock.sleep(PUMP_TICK)
 
     def _collector_loop(self) -> None:
         """Drain the shared reply queue and resolve tickets."""
@@ -648,36 +648,40 @@ class ServingFrontEnd:
                 continue
             except (EOFError, OSError):  # queue torn down during stop
                 return
-            kind = message[0]
             with self._state_changed:
-                if kind == "batch":
-                    self._on_batch_locked(message)
-                elif kind == "batch-error":
-                    self._on_batch_error_locked(message)
-                elif kind == "ready":
-                    _, worker_id, epoch = message
-                    slot = self._slots.get(worker_id)
-                    if slot is not None:
-                        slot.ready = True
-                        slot.epoch = epoch
-                elif kind == "swapped":
-                    _, worker_id, epoch = message
-                    slot = self._slots.get(worker_id)
-                    if slot is not None:
-                        slot.epoch = epoch
-                    self._swap_pending.discard(worker_id)
-                elif kind == "swap-error":
-                    _, worker_id, detail = message
-                    self._swap_errors.append(f"worker {worker_id}: {detail}")
-                    self._swap_pending.discard(worker_id)
-                elif kind == "start-error":
-                    _, worker_id, detail = message
-                    slot = self._slots.get(worker_id)
-                    if slot is not None:
-                        slot.start_error = detail
-                elif kind == "stopped":
-                    pass
-                self._state_changed.notify_all()
+                self._on_message_locked(message)
+
+    def _on_message_locked(self, message) -> None:
+        """Apply one worker message, then dispatch to any worker it idled."""
+        kind = message[0]
+        if kind == "batch":
+            self._on_batch_locked(message)
+        elif kind == "batch-error":
+            self._on_batch_error_locked(message)
+        elif kind == "ready":
+            _, worker_id, epoch = message
+            slot = self._slots.get(worker_id)
+            if slot is not None:
+                slot.ready = True
+                slot.epoch = epoch
+        elif kind == "swapped":
+            _, worker_id, epoch = message
+            slot = self._slots.get(worker_id)
+            if slot is not None:
+                slot.epoch = epoch
+            self._swap_pending.discard(worker_id)
+        elif kind == "swap-error":
+            _, worker_id, detail = message
+            self._swap_errors.append(f"worker {worker_id}: {detail}")
+            self._swap_pending.discard(worker_id)
+        elif kind == "start-error":
+            _, worker_id, detail = message
+            slot = self._slots.get(worker_id)
+            if slot is not None:
+                slot.start_error = detail
+        # A reply frees a worker and a ready report adds one.
+        self._dispatch_idle_locked()
+        self._state_changed.notify_all()
 
     def _on_batch_locked(self, message) -> None:
         _, worker_id, batch_id, replies, service_seconds = message

@@ -7,7 +7,11 @@ counters) and then loops over control messages from its request queue:
 
 * ``("batch", batch_id, queries)`` -- run :meth:`Server.execute_batch`
   (same-weight queries share one subdomain search and one scoring pass) and
-  reply with one picklable :class:`WorkerReply` per query, in order;
+  reply with one picklable :class:`WorkerReply` per query, in order, or
+  with one ``batch-error`` naming why the server refused the batch (a
+  query it cannot process, or one that does not fit the template, such as
+  a weight vector of the wrong length) -- a refused query fails its own
+  tickets and never takes the worker down;
 * ``("swap", path, base, expected_epoch)`` -- live hot-swap to a newer
   epoch's artifact; batches queued before the swap message finish on the
   entry epoch (the queue is FIFO), so a broadcast swap never tears a query;
@@ -31,7 +35,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.core.errors import ConstructionError, QueryProcessingError
+from repro.core.errors import ConstructionError, InvalidQueryError, QueryProcessingError
 from repro.core.queries import AnalyticQuery
 from repro.core.results import QueryResult
 from repro.core.server import Server
@@ -60,7 +64,7 @@ def _serve_batch(server: Server, reply_queue, worker_id: int, message: Tuple) ->
     started = time.perf_counter()
     try:
         executions = server.execute_batch(queries)
-    except QueryProcessingError as err:
+    except (QueryProcessingError, InvalidQueryError) as err:
         reply_queue.put(("batch-error", worker_id, batch_id, str(err)))
         return
     service_seconds = time.perf_counter() - started
