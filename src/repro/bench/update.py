@@ -6,7 +6,10 @@ paying the full reconstruction again.  This benchmark quantifies that: at
 each database size the owner-side build is timed (best-of-``repeats``,
 ``gc.collect()`` before every run -- the shared timing discipline of all
 wall-clock gates), then alternating single-record inserts and deletes are
-applied and timed the same way.  A correctness guard rebuilds the final
+applied and timed the same way.  After each update the owner publishes a
+delta artifact against its epoch-0 base, timed the same way too, with the
+delta's size and the process's peak RSS (``ru_maxrss``) before and after
+the publishes recorded alongside.  A correctness guard rebuilds the final
 dataset from scratch at the final epoch and asserts the updated ADS is
 bit-identical (root hash, root signature, one query's verification object
 and per-query counters) before any number is reported.
@@ -23,7 +26,10 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import random
+import resource
+import tempfile
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -67,6 +73,19 @@ SMOKE_UPDATE_SPEEDUP_FLOOR = 2.0
 SMOKE_UPDATE_REPORT_FILENAME = "BENCH_update_smoke.json"
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process (``ru_maxrss`` is KiB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _timed_publish(owner: DataOwner, path: str, base: str) -> float:
+    """Seconds one delta publish takes (after a ``gc.collect()``)."""
+    gc.collect()
+    started = time.perf_counter()
+    owner.publish(path, base=base)
+    return time.perf_counter() - started
+
+
 def update_point(
     n_records: int,
     seed: int = 0,
@@ -77,9 +96,12 @@ def update_point(
     The owner alternates inserting and deleting a fresh record ``repeats``
     times each (every step is a complete single-record update: new epoch,
     new root, new signature); the reported times are the best insert and
-    the best delete.  Before timings are reported, the final state must be
-    bit-identical to a from-scratch build of the final dataset at the same
-    epoch.
+    the best delete.  The built owner is published once, untimed, as the
+    epoch-0 base; each update is then published as a delta against it,
+    and the best publish time after an insert and after a delete are
+    reported with the last deltas' sizes.  Before timings are reported,
+    the final state must be bit-identical to a from-scratch build of the
+    final dataset at the same epoch.
     """
     workload = WorkloadConfig(n_records=n_records, dimension=1, seed=seed)
     dataset = make_dataset(workload)
@@ -100,27 +122,43 @@ def update_point(
     low, high = workload.value_range
     insert_seconds = float("inf")
     delete_seconds = float("inf")
+    insert_publish_seconds = float("inf")
+    delete_publish_seconds = float("inf")
     strategies = set()
     next_id = n_records
-    for _ in range(repeats):
-        record = Record(
-            record_id=next_id,
-            values=(rng.uniform(low, high), rng.uniform(low, high)),
-            label=f"update-{next_id}",
-        )
-        gc.collect()
-        started = time.perf_counter()
-        report = owner.insert(record)
-        insert_seconds = min(insert_seconds, time.perf_counter() - started)
-        strategies.add(report.strategy)
+    with tempfile.TemporaryDirectory() as directory:
+        base = os.path.join(directory, "epoch0.npz")
+        delta = os.path.join(directory, "delta.npz")
+        owner.publish(base)
+        peak_rss_before = _peak_rss_mb()
+        for _ in range(repeats):
+            record = Record(
+                record_id=next_id,
+                values=(rng.uniform(low, high), rng.uniform(low, high)),
+                label=f"update-{next_id}",
+            )
+            gc.collect()
+            started = time.perf_counter()
+            report = owner.insert(record)
+            insert_seconds = min(insert_seconds, time.perf_counter() - started)
+            strategies.add(report.strategy)
+            insert_publish_seconds = min(
+                insert_publish_seconds, _timed_publish(owner, delta, base)
+            )
+            insert_delta_bytes = os.path.getsize(delta)
 
-        victim = rng.choice(owner.dataset.records).record_id
-        gc.collect()
-        started = time.perf_counter()
-        report = owner.delete(victim)
-        delete_seconds = min(delete_seconds, time.perf_counter() - started)
-        strategies.add(report.strategy)
-        next_id += 1
+            victim = rng.choice(owner.dataset.records).record_id
+            gc.collect()
+            started = time.perf_counter()
+            report = owner.delete(victim)
+            delete_seconds = min(delete_seconds, time.perf_counter() - started)
+            strategies.add(report.strategy)
+            delete_publish_seconds = min(
+                delete_publish_seconds, _timed_publish(owner, delta, base)
+            )
+            delete_delta_bytes = os.path.getsize(delta)
+            next_id += 1
+        peak_rss_after = _peak_rss_mb()
 
     # Correctness guard: the speedup must never come from computing
     # something else.  A from-scratch build of the final dataset at the
@@ -153,6 +191,12 @@ def update_point(
         "delete_seconds": delete_seconds,
         "insert_speedup": build_seconds / insert_seconds,
         "delete_speedup": build_seconds / delete_seconds,
+        "insert_publish_seconds": insert_publish_seconds,
+        "delete_publish_seconds": delete_publish_seconds,
+        "insert_delta_bytes": insert_delta_bytes,
+        "delete_delta_bytes": delete_delta_bytes,
+        "peak_rss_mb_before_publishes": peak_rss_before,
+        "peak_rss_mb_after_publishes": peak_rss_after,
         "strategies": sorted(strategies),
     }
     gc.collect()
@@ -184,6 +228,8 @@ def run_update(
             "insert_speedup",
             "delete_seconds",
             "delete_speedup",
+            "insert_publish_seconds",
+            "delete_publish_seconds",
             "subdomains",
         ),
     )
@@ -198,6 +244,8 @@ def run_update(
             insert_speedup=point["insert_speedup"],
             delete_seconds=point["delete_seconds"],
             delete_speedup=point["delete_speedup"],
+            insert_publish_seconds=point["insert_publish_seconds"],
+            delete_publish_seconds=point["delete_publish_seconds"],
             subdomains=point["subdomains"],
         )
 

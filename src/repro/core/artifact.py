@@ -133,9 +133,10 @@ class PublishReport:
     """What :func:`save_artifact` actually wrote.
 
     ``mode`` is ``"full"`` or ``"delta"``.  When a delta was requested but
-    its base artifact turned out to be missing or corrupt, the publish
-    *repairs the chain* by writing a full artifact instead and records why
-    in ``fallback_reason`` (``None`` for a publish that went as requested).
+    its base artifact turned out to be missing, corrupt or the target file
+    itself, the publish *repairs the chain* by writing a full artifact
+    instead and records why in ``fallback_reason`` (``None`` for a publish
+    that went as requested).
     """
 
     path: str
@@ -295,9 +296,9 @@ def save_artifact(
     tail, and the header pins the base's payload checksum and epoch --
     loading the delta against any other base (or replaying it) raises
     :class:`~repro.core.errors.ConstructionError`.  If the base file is
-    missing or corrupt, the delta chain is *repaired* instead of broken:
-    a full artifact is written and the returned :class:`PublishReport`
-    carries the fallback reason.
+    missing or corrupt, or is the very file being written, the delta chain
+    is *repaired* instead of broken: a full artifact is written and the
+    returned :class:`PublishReport` carries the fallback reason.
 
     With ``arena_shards=k`` (``k >= 2``, IFMH scheme, filesystem paths
     only) the Merkle arena is written as ``k`` contiguous-row sidecar
@@ -344,7 +345,7 @@ def save_artifact(
         },
     }
     if isinstance(ads, IFMHTree):
-        meta["itree_builder"] = ads.itree.builder
+        meta["itree_builder"] = ads.itree_builder
         meta["root_signature"] = (
             ads.root_signature.hex() if ads.root_signature is not None else None
         )
@@ -370,7 +371,14 @@ def save_artifact(
 
     mode = "full"
     fallback_reason: Optional[str] = None
-    if base is not None:
+    if base is not None and _names_same_file(path, base):
+        # A delta written over its own base would replace the lineage's
+        # only full artifact with a file that needs it to load.
+        fallback_reason = (
+            f"delta base {_path_text(base)!r} is the file being written; "
+            "a delta cannot replace its own base"
+        )
+    elif base is not None:
         try:
             arrays, delta_info = _delta_arrays(arrays, base)
         except (FileNotFoundError, ConstructionError) as error:
@@ -405,6 +413,16 @@ def save_artifact(
         epoch=int(owner.epoch),
         fallback_reason=fallback_reason,
     )
+
+
+def _names_same_file(path, base) -> bool:
+    """Whether ``base`` is the existing file a publish to ``path`` replaces."""
+    if hasattr(path, "write") or hasattr(base, "read"):
+        return False
+    try:
+        return os.path.samefile(path, base)
+    except OSError:  # either file missing: not the same existing file
+        return False
 
 
 def _delta_arrays(

@@ -638,9 +638,10 @@ class DataOwner:
         append-only Merkle arena ships only its new tail.  Loading a delta
         requires the matching base file; splicing it onto any other base
         raises :class:`~repro.core.errors.ConstructionError`.  A missing
-        or corrupt base falls back to a full publish (chain repair) --
-        the returned :class:`~repro.core.artifact.PublishReport` says
-        which mode was written and why.
+        or corrupt base, or a base that is ``path`` itself, falls back to
+        a full publish (chain repair) -- the returned
+        :class:`~repro.core.artifact.PublishReport` says which mode was
+        written and why.
 
         With ``arena_shards=k`` (``k >= 2``, IFMH only) the Merkle arena
         -- the bulk of the bundle -- is written as ``k`` contiguous-row

@@ -33,7 +33,7 @@ from repro.core.records import Dataset, Record, UtilityTemplate
 from repro.crypto.hashing import HashFunction, epoch_bound_combine
 from repro.crypto.signer import Signer
 from repro.geometry.engine import SplitEngine
-from repro.itree.itree import ITree, SearchTrace
+from repro.itree.itree import ITree, SearchTrace, encode_tree_arrays
 from repro.itree.nodes import ITreeNode
 from repro.itree.permutation import PermutedView
 from repro.merkle.arena import ArenaMerkleTree, MerkleArena, arena_from_level_trees
@@ -43,6 +43,10 @@ from repro.metrics.counters import Counters
 from repro.metrics.sizes import DEFAULT_SIZE_MODEL, SizeModel
 
 __all__ = ["IFMHTree", "ONE_SIGNATURE", "MULTI_SIGNATURE"]
+
+#: The builder a deferred update's I-tree reloads under: the incremental
+#: update path only ever maintains bulk-built (balanced) trees.
+_DEFERRED_BUILDER = "bulk"
 
 
 class IFMHTree:
@@ -375,16 +379,24 @@ class IFMHTree:
         """Serialize the full ADS into flat arrays (artifact export).
 
         The result bundles the I-tree structure arrays
-        (:meth:`repro.itree.itree.ITree.to_arrays`), the FMH forest in
+        (:func:`repro.itree.itree.encode_tree_arrays`), the FMH forest in
         arena form (``arena_*`` plus one root index per subdomain, in
         subdomain order), every intersection node's hash (pre-order) and --
         in multi-signature mode -- the per-subdomain signatures.  Builds
         that did not go through the batched engine are re-encoded into an
         equivalent arena by value, without hashing anything
         (:func:`repro.merkle.arena.arena_from_level_trees`).
+
+        A deferred update (:meth:`from_update`) is written straight from
+        the arrays the update built: no node skeleton, no leaf
+        materialisation, and the row-lazy permutation is densified only
+        if the dense encoding is the one stored.  The deferred payload is
+        left in place, so the tree still rebuilds on first query touch.
         """
+        payload = self.__dict__.get("_deferred_load")
+        if payload is not None:
+            return self._deferred_arrays(payload[0])
         leaves = list(self._materialized_leaves())
-        arrays = self.itree.to_arrays()
         first_tree = leaves[0].fmh_tree.tree
         if isinstance(first_tree, ArenaMerkleTree):
             arena = first_tree.arena
@@ -397,6 +409,49 @@ class IFMHTree:
             arena, root_indices = arena_from_level_trees(
                 [leaf.fmh_tree.tree for leaf in leaves]
             )
+        intersection_hashes = [
+            node.hash_value for node in self.itree.root.iter_subtree() if node.is_intersection
+        ]
+        intersection_matrix = np.frombuffer(
+            b"".join(intersection_hashes), dtype=np.uint8
+        ).reshape(len(intersection_hashes), self.hash_function.digest_size)
+        signatures = (
+            [leaf.signature for leaf in leaves] if self.mode == MULTI_SIGNATURE else None
+        )
+        return self._ads_arrays(
+            self.itree.to_arrays(), arena, root_indices, intersection_matrix, signatures
+        )
+
+    def _deferred_arrays(self, arrays: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+        """:meth:`to_arrays` of a deferred update, from its own payload."""
+        if self.mode == MULTI_SIGNATURE:
+            # Signing a multi-signature tree walks its leaves, which rebuilds
+            # it: a tree still deferred carries no signatures to write.
+            raise ConstructionError("cannot serialize an unsigned multi-signature tree")
+        state = self._incremental_state
+        tree_arrays = encode_tree_arrays(
+            arrays,
+            self.template.dimension,
+            arrays["permutation"],
+            (state.change_rows, state.change_cols, state.change_vals),
+        )
+        arena = MerkleArena(
+            arrays["arena_digests"], arrays["arena_left"], arrays["arena_right"]
+        )
+        return self._ads_arrays(
+            tree_arrays, arena, arrays["leaf_root_index"], arrays["intersection_hash"], None
+        )
+
+    def _ads_arrays(
+        self,
+        arrays: Dict[str, np.ndarray],
+        arena: MerkleArena,
+        root_indices: np.ndarray,
+        intersection_matrix: np.ndarray,
+        signatures: Optional[list],
+    ) -> Dict[str, np.ndarray]:
+        """Append the forest, intersection hashes and signatures to the
+        I-tree arrays -- the one assembly both :meth:`to_arrays` paths use."""
         arena_arrays = arena.to_arrays()
         arrays["arena_digests"] = arena_arrays["digests"]
         # Child indices fit int32 far below the arena's 2^32-node cap; the
@@ -405,16 +460,8 @@ class IFMHTree:
         arrays["arena_left"] = arena_arrays["left"].astype(child_dtype)
         arrays["arena_right"] = arena_arrays["right"].astype(child_dtype)
         arrays["leaf_root_index"] = root_indices.astype(child_dtype)
-
-        intersection_hashes = [
-            node.hash_value for node in self.itree.root.iter_subtree() if node.is_intersection
-        ]
-        blob = b"".join(intersection_hashes)
-        arrays["intersection_hash"] = np.frombuffer(blob, dtype=np.uint8).reshape(
-            len(intersection_hashes), self.hash_function.digest_size
-        )
-        if self.mode == MULTI_SIGNATURE:
-            signatures = [leaf.signature for leaf in leaves]
+        arrays["intersection_hash"] = intersection_matrix
+        if signatures is not None:
             if any(signature is None for signature in signatures):
                 raise ConstructionError("cannot serialize an unsigned multi-signature tree")
             sizes = {len(signature) for signature in signatures}
@@ -565,6 +612,7 @@ class IFMHTree:
         epoch: int,
         root_hash: bytes,
         subdomain_count: int,
+        incremental_state,
         signer: Optional[Signer] = None,
     ) -> "IFMHTree":
         """An incrementally updated tree whose node structures load lazily.
@@ -573,15 +621,20 @@ class IFMHTree:
         the new root digest, subdomain count and every array of the new
         ADS; rebuilding the I-tree node skeleton eagerly would cost more
         than the rest of the update.  It is deferred instead: the first
-        access to :attr:`itree` (a search, a metrics walk, ``to_arrays``)
-        triggers the same :meth:`from_arrays` reconstruction an artifact
-        load performs.  Signing does not force it -- the root hash is
-        served from the update's propagation pass.
+        access to :attr:`itree` (a search, a metrics walk) triggers the
+        same :meth:`from_arrays` reconstruction an artifact load performs.
+        Neither one-signature signing nor publishing forces it -- the root
+        hash is served from the update's propagation pass, and
+        :meth:`to_arrays` writes the update's own arrays plus the
+        permutation change points carried by ``incremental_state`` (the
+        :class:`repro.ifmh.updates.IncrementalState` the next update
+        starts from).
         """
         self = cls.__new__(cls)
         self._init_common(dataset, template, config, counters, None, signer, epoch)
         self.merkle_engine_stats = None
         self.root_signature = None
+        self._incremental_state = incremental_state
         self._deferred_load = (arrays, engine)
         self._deferred_root_hash = root_hash
         self._deferred_subdomain_count = int(subdomain_count)
@@ -595,7 +648,7 @@ class IFMHTree:
         arrays, engine = payload
         self._load_arrays(
             arrays,
-            builder="bulk",
+            builder=_DEFERRED_BUILDER,
             engine=engine,
             root_signature=self.root_signature,
             require_signatures=False,
@@ -644,6 +697,13 @@ class IFMHTree:
         if "_deferred_load" in self.__dict__:
             return self._deferred_subdomain_count
         return self.itree.subdomain_count
+
+    @property
+    def itree_builder(self) -> str:
+        """The I-tree's builder name, read without forcing a deferred reload."""
+        if "_deferred_load" in self.__dict__:
+            return _DEFERRED_BUILDER
+        return self.itree.builder
 
     @property
     def imh_node_count(self) -> int:

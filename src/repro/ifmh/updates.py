@@ -27,8 +27,9 @@ differential property harness in
    or merged pieces around touched breakpoints) are re-sorted, and the new
    permutation stays **row-lazy**
    (:class:`repro.itree.permutation.LazySplicedPermutation`): rows
-   materialize when a query lands on them, the dense matrix only when an
-   artifact is published.
+   materialize when a query lands on them, the dense matrix only when a
+   publish stores the dense encoding (a publish otherwise writes row 0
+   plus the change points of step 3).
 3. **Changed-path forest hashing** -- the FMH forest is advanced through
    :class:`repro.merkle.arena.DeltaForestHasher`.  The new leaf matrix is
    never materialized: the update derives its change points (tree ``t`` vs
@@ -607,9 +608,9 @@ def apply_incremental_update(
         epoch=epoch,
         root_hash=root_hash,
         subdomain_count=new_plan.breakpoints.shape[0] + 1,
+        incremental_state=new_state,
         signer=tree.signer,
     )
-    updated._incremental_state = new_state
     if sign and tree.signer is not None:
         updated._sign(tree.signer)
     return updated

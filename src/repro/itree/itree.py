@@ -437,7 +437,6 @@ class ITree:
             # so its witness and sorted view can be read back out.
             for leaf in self.loaded_leaf_nodes:
                 self.materialize_leaf(leaf)
-        dimension = self.domain.dimension
         flags: list[int] = []
         hyper_i: list[int] = []
         hyper_j: list[int] = []
@@ -456,23 +455,20 @@ class ITree:
                 hyper_j.append(node.hyperplane.j)
                 hyper_normal.append(node.hyperplane.normal)
                 hyper_offset.append(node.hyperplane.offset)
-        arrays = {
-            "node_is_leaf": np.asarray(flags, dtype=np.uint8),
-            "hyper_i": np.asarray(hyper_i, dtype=np.int64),
-            "hyper_j": np.asarray(hyper_j, dtype=np.int64),
-            "hyper_normal": np.asarray(hyper_normal, dtype=np.float64).reshape(
-                len(hyper_offset), dimension
-            ),
-            "hyper_offset": np.asarray(hyper_offset, dtype=np.float64),
-            "leaf_witness": np.asarray(leaf_witness, dtype=np.float64).reshape(
-                len(leaf_row), dimension
-            ),
-            "leaf_row": np.asarray(leaf_row, dtype=np.int64),
-        }
-        arrays.update(
-            _encode_permutation(self.shared_order.permutation, self.perm_change)
+        return encode_tree_arrays(
+            {
+                "node_is_leaf": flags,
+                "hyper_i": hyper_i,
+                "hyper_j": hyper_j,
+                "hyper_normal": hyper_normal,
+                "hyper_offset": hyper_offset,
+                "leaf_witness": leaf_witness,
+                "leaf_row": leaf_row,
+            },
+            self.domain.dimension,
+            self.shared_order.permutation,
+            self.perm_change,
         )
-        return arrays
 
     @classmethod
     def from_arrays(
@@ -779,9 +775,42 @@ def _permutation_change_points(
     )
 
 
-def _encode_permutation(
-    permutation: np.ndarray, change_points=None
-) -> dict[str, np.ndarray]:
+def encode_tree_arrays(
+    columns: Dict[str, Sequence],
+    dimension: int,
+    permutation,
+    change_points=None,
+) -> Dict[str, np.ndarray]:
+    """The artifact arrays of an I-tree, from its pre-order columns.
+
+    ``columns`` holds the seven structure columns :meth:`ITree.to_arrays`
+    documents (``node_is_leaf`` ... ``leaf_row``) as lists or arrays: a
+    node walk of a live tree produces lists, an incremental update already
+    holds the arrays (:meth:`repro.ifmh.ifmh_tree.IFMHTree.to_arrays`).
+    Both go through this one routine, so the keys, their order and their
+    dtypes cannot drift apart; the shared permutation follows under the
+    encoding :func:`_encode_permutation` picks.
+    """
+    hyper_count = len(columns["hyper_offset"])
+    leaf_count = len(columns["leaf_row"])
+    arrays = {
+        "node_is_leaf": np.asarray(columns["node_is_leaf"], dtype=np.uint8),
+        "hyper_i": np.asarray(columns["hyper_i"], dtype=np.int64),
+        "hyper_j": np.asarray(columns["hyper_j"], dtype=np.int64),
+        "hyper_normal": np.asarray(columns["hyper_normal"], dtype=np.float64).reshape(
+            hyper_count, dimension
+        ),
+        "hyper_offset": np.asarray(columns["hyper_offset"], dtype=np.float64),
+        "leaf_witness": np.asarray(columns["leaf_witness"], dtype=np.float64).reshape(
+            leaf_count, dimension
+        ),
+        "leaf_row": np.asarray(columns["leaf_row"], dtype=np.int64),
+    }
+    arrays.update(_encode_permutation(permutation, change_points))
+    return arrays
+
+
+def _encode_permutation(permutation, change_points=None) -> dict[str, np.ndarray]:
     """Row-delta encoding of the shared permutation array (artifact export).
 
     Adjacent subdomains of the 1-D arrangement differ by a single adjacent
@@ -792,26 +821,30 @@ def _encode_permutation(
     builder produced; when the delta form would not actually be smaller
     (tiny trees, adversarial orders) the dense matrix is stored as
     ``permutation`` instead, and the decoder accepts either.  A caller that
-    already holds the change points (bulk builds cache them for the update
-    path) passes them in; otherwise they are derived here.
+    already holds the change points (bulk builds cache them, incremental
+    updates carry them) passes them in; otherwise they are derived here.
+
+    With change points in hand only the shape and row 0 are read, so a
+    row-lazy :class:`~repro.itree.permutation.LazySplicedPermutation` is
+    densified only when the dense form is what gets stored.
     """
-    dense = np.ascontiguousarray(permutation, dtype=np.int32)
-    rows = dense.shape[0]
+    rows, width = permutation.shape
     if rows > 1:
         if change_points is None:
-            change_points = _permutation_change_points(dense)
+            permutation = np.ascontiguousarray(permutation, dtype=np.int32)
+            change_points = _permutation_change_points(permutation)
         change_rows, change_cols, change_vals = change_points
         delta_cells = change_cols.shape[0]
-        if 2 * delta_cells + rows + dense.shape[1] < dense.size // 2:
+        if 2 * delta_cells + rows + width < rows * width // 2:
             return {
-                "perm_row0": dense[0].copy(),
+                "perm_row0": np.array(permutation[0], dtype=np.int32),
                 "perm_delta_counts": np.bincount(
                     change_rows - 1, minlength=rows - 1
                 ).astype(np.int64),
                 "perm_delta_col": change_cols.astype(np.int32),
                 "perm_delta_val": change_vals.astype(np.int32),
             }
-    return {"permutation": dense}
+    return {"permutation": np.ascontiguousarray(permutation, dtype=np.int32)}
 
 
 def _decode_permutation(arrays: dict) -> np.ndarray:
@@ -820,7 +853,7 @@ def _decode_permutation(arrays: dict) -> np.ndarray:
         permutation = arrays["permutation"]
         if isinstance(permutation, LazySplicedPermutation):
             # Incremental updates hand their row-lazy permutation through
-            # the same reconstruction path; it densifies only on publish.
+            # the same reconstruction path; it stays lazy.
             return permutation
         return np.ascontiguousarray(permutation, dtype=np.int32)
     row0 = np.ascontiguousarray(arrays["perm_row0"], dtype=np.int32)

@@ -36,9 +36,9 @@ class LazySplicedPermutation:
     breakpoints were re-sorted.  Materializing the dense ``(rows, n)``
     matrix eagerly would cost more than the whole changed-path rebuild, so
     this object stores the splice descriptors instead and computes rows on
-    demand -- queries touch a handful of subdomains, and
-    :func:`numpy.asarray` (``__array__``) densifies everything when an
-    artifact is published.
+    demand -- queries touch a handful of subdomains, and a publish reads
+    only row 0 unless it stores the dense encoding, which
+    :func:`numpy.asarray` (``__array__``) builds.
 
     Parameters
     ----------

@@ -21,6 +21,10 @@ def test_update_point_measures_and_guards():
     assert point["delete_speedup"] == point["build_seconds"] / point["delete_seconds"]
     # repeats inserts and repeats deletes, one epoch each
     assert point["epoch"] == 4
+    # each update is also published as a delta against the epoch-0 base
+    assert point["insert_publish_seconds"] > 0 and point["delete_publish_seconds"] > 0
+    assert point["insert_delta_bytes"] > 0 and point["delete_delta_bytes"] > 0
+    assert point["peak_rss_mb_after_publishes"] >= point["peak_rss_mb_before_publishes"] > 0
     assert point["strategies"] == ["incremental"]
     assert point["subdomains"] > 30
 

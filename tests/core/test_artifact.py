@@ -29,7 +29,7 @@ from repro.core.artifact import (
 from repro.core.client import Client
 from repro.core.config import SCHEMES, SystemConfig
 from repro.core.errors import ConstructionError
-from repro.core.owner import PublicParameters, ServerPackage
+from repro.core.owner import DataOwner, PublicParameters, ServerPackage
 from repro.core.protocol import OutsourcedSystem
 from repro.core.queries import KNNQuery, RangeQuery, TopKQuery
 from repro.core.records import Record
@@ -417,3 +417,18 @@ def test_delta_publish_falls_back_to_full_when_base_corrupt(tmp_path):
     assert report.mode == "full"
     assert "unusable" in report.fallback_reason
     assert Server.from_artifact(tmp_path / "epoch1.npz").epoch == 1
+
+
+def test_delta_publish_over_its_own_base_writes_full(tmp_path):
+    """``publish(path, base=path)`` must not replace the lineage's only
+    full artifact with a delta that needs that very file to load."""
+    system = _published_system("one-signature", n_records=40)
+    path = _publish(system, tmp_path)
+    system.owner.insert(Record(record_id=40, values=(5.0, 1.0)))
+    report = system.owner.publish(path, base=path)
+    assert report.mode == "full"
+    assert "being written" in report.fallback_reason
+    assert Server.from_artifact(path).epoch == 1
+    restarted = DataOwner.from_artifact(path, keypair=system.owner.keypair)
+    assert restarted.epoch == 1
+    assert restarted.ads.root_hash == system.owner.ads.root_hash

@@ -236,6 +236,46 @@ def test_updated_tree_defers_node_reconstruction():
     assert tree.root_hash == tree.itree.root.hash_value
 
 
+def test_updated_tree_publishes_without_rebuilding(tmp_path, monkeypatch):
+    """A publish writes the update's own arrays: no I-tree skeleton, no
+    leaf materialisation, no dense permutation -- and the tree stays
+    deferred, so neither the next update nor the next publish pays."""
+    import numpy as np
+
+    from repro.core.server import Server
+    from repro.itree.itree import ITree
+    from repro.itree.permutation import LazySplicedPermutation
+
+    rng = random.Random(3)
+    # 40 records: enough subdomains for the row-delta permutation encoding.
+    rows = [(round(rng.uniform(0, 8), 2), round(rng.uniform(0, 6), 2)) for _ in range(40)]
+    owner = _owner(rows)
+    base = tmp_path / "epoch0.npz"
+    owner.publish(base)
+    owner.insert(Record(record_id=40, values=(2.2, 3.3)))
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the publish rebuilt the updated tree")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ITree, "from_arrays", refuse)
+        patch.setattr(ITree, "materialize_leaf", refuse)
+        patch.setattr(LazySplicedPermutation, "materialize", refuse)
+        assert owner.publish(tmp_path / "full.npz").mode == "full"
+        assert owner.publish(tmp_path / "delta.npz", base=base).mode == "delta"
+    assert "_deferred_load" in owner.ads.__dict__
+    with np.load(tmp_path / "full.npz") as bundle:
+        assert "ads_perm_row0" in bundle.files
+
+    server = Server.from_artifact(tmp_path / "delta.npz", base=base, expected_epoch=1)
+    live = Server(owner.outsource())
+    query = TopKQuery(weights=(0.5,), k=3)
+    assert (
+        server.execute(query).verification_object
+        == live.execute(query).verification_object
+    )
+
+
 def test_updated_owner_publishes_and_reloads(tmp_path):
     owner = _owner(_ROWS)
     owner.insert(Record(record_id=7, values=(2.2, 3.3)))

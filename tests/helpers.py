@@ -10,10 +10,13 @@ transformation) use one oracle.
 
 from __future__ import annotations
 
+import io
+import zipfile
+
 from repro.core.client import Client
 from repro.core.owner import DataOwner
 from repro.core.server import Server
-from repro.ifmh.ifmh_tree import MULTI_SIGNATURE, ONE_SIGNATURE
+from repro.ifmh.ifmh_tree import MULTI_SIGNATURE, ONE_SIGNATURE, IFMHTree
 from repro.mesh.builder import SignatureMesh
 
 
@@ -106,3 +109,49 @@ def assert_matches_fresh_rebuild(owner: DataOwner, queries, require_valid=True):
         require_valid=require_valid,
     )
     return fresh
+
+
+def artifact_members(payload: bytes) -> list:
+    """An artifact's ``.npz`` members in write order, as ``(name, bytes)``.
+
+    This is every byte of the bundle except the zip container's own
+    entry timestamps, which record the wall clock of the write.
+    """
+    with zipfile.ZipFile(io.BytesIO(payload)) as bundle:
+        return [(info.filename, bundle.read(info)) for info in bundle.infolist()]
+
+
+def assert_publish_matches_forced_rebuild(owner: DataOwner, base, full=True) -> set:
+    """Publishing the owner's ADS as it stands == publishing it rebuilt.
+
+    An incrementally updated IFMH tree publishes straight from the arrays
+    its update built; touching ``ads.itree`` forces the node rebuild and
+    leaf materialisation the other publish path runs on.  A delta publish
+    against ``base`` (a full artifact of the lineage) and, with ``full``, a
+    full publish must write the same bytes either way.  Returns the names
+    of the permutation entries written, so callers can check which
+    encoding they covered.
+    """
+
+    def publish_all():
+        written = []
+        if full:
+            buffer = io.BytesIO()
+            owner.publish(buffer)
+            written.append(artifact_members(buffer.getvalue()))
+        buffer = io.BytesIO()
+        report = owner.publish(buffer, base=base)
+        assert report.mode == "delta", report.fallback_reason
+        written.append(artifact_members(buffer.getvalue()))
+        return written
+
+    written = publish_all()
+    if isinstance(owner.ads, IFMHTree):
+        owner.ads.itree  # noqa: B018 -- forces a deferred update's rebuild
+    rebuilt = publish_all()
+    for fast, forced in zip(written, rebuilt):
+        assert [name for name, _ in fast] == [name for name, _ in forced]
+        differing = [name for (name, a), (_, b) in zip(fast, forced) if a != b]
+        assert differing == []
+    names = (name[: -len(".npy")] for members in written for name, _ in members)
+    return {name for name in names if name.startswith("ads_perm")}

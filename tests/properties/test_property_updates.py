@@ -17,6 +17,8 @@ through the same API); and a slow-marked thousand-record end-to-end smoke.
 """
 
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +29,10 @@ from repro.core.queries import KNNQuery, RangeQuery, TopKQuery
 from repro.core.records import Dataset, Record, UtilityTemplate
 from repro.geometry.domain import Domain
 
-from tests.helpers import assert_matches_fresh_rebuild
+from tests.helpers import (
+    assert_matches_fresh_rebuild,
+    assert_publish_matches_forced_rebuild,
+)
 
 _VALUE = st.floats(min_value=0.0, max_value=8.0, allow_nan=False).map(
     lambda v: round(v, 2)
@@ -73,20 +78,28 @@ def _owner(rows, scheme):
 @given(rows=_ROWS, steps=_STEPS, scheme=st.sampled_from(SCHEMES))
 @settings(max_examples=25, deadline=None)
 def test_property_update_sequences_match_fresh_rebuild(rows, steps, scheme):
-    """Random insert/delete sequences == from-scratch builds, bit for bit."""
+    """Random insert/delete sequences == from-scratch builds, bit for bit.
+
+    The updated owner's full and delta publishes are also byte-identical
+    to the ones written after forcing its tree's rebuild.
+    """
     owner = _owner(rows, scheme)
     next_id = len(rows)
     applied = 0
-    for step in steps:
-        if step[0] == "insert":
-            owner.insert(Record(record_id=next_id, values=(step[1], step[2])))
-            next_id += 1
-        else:
-            ids = sorted(record.record_id for record in owner.dataset.records)
-            if len(ids) <= 1:
-                continue  # deleting the last record is a documented error
-            owner.delete(ids[step[1] % len(ids)])
-        applied += 1
+    with tempfile.TemporaryDirectory() as directory:
+        base = Path(directory) / "epoch0.npz"
+        owner.publish(base)
+        for step in steps:
+            if step[0] == "insert":
+                owner.insert(Record(record_id=next_id, values=(step[1], step[2])))
+                next_id += 1
+            else:
+                ids = sorted(record.record_id for record in owner.dataset.records)
+                if len(ids) <= 1:
+                    continue  # deleting the last record is a documented error
+                owner.delete(ids[step[1] % len(ids)])
+            applied += 1
+        assert_publish_matches_forced_rebuild(owner, base)
     assert owner.epoch == applied
     assert_matches_fresh_rebuild(owner, _queries(len(owner.dataset)))
 
@@ -240,29 +253,42 @@ def test_multivariate_updates_fall_back_to_rebuild(scheme):
     )
 
 
-def test_update_sequence_through_published_artifacts(tmp_path):
-    """Load -> update -> publish -> load chains stay bit-identical."""
+@pytest.mark.parametrize(
+    ("size", "encoding"),
+    [(9, "ads_permutation"), (40, "ads_perm_row0")],
+)
+def test_update_sequence_through_published_artifacts(size, encoding, tmp_path):
+    """Load -> update -> publish -> load chains stay bit-identical.
+
+    The restarted owner's publishes equal, byte for byte, the ones written
+    after forcing its tree's rebuild -- under the dense permutation
+    encoding (small trees) and the row-delta one.
+    """
     rng = random.Random(17)
     rows = [
         (round(rng.uniform(0.0, 8.0), 2), round(rng.uniform(0.0, 6.0), 2))
-        for _ in range(9)
+        for _ in range(size)
     ]
     owner = _owner(rows, "one-signature")
     base = tmp_path / "epoch0.npz"
     owner.publish(base)
     restarted = DataOwner.from_artifact(base, keypair=owner.keypair)
-    restarted.insert(Record(record_id=9, values=(4.5, 1.25)))
+    restarted.insert(Record(record_id=size, values=(4.5, 1.25)))
     restarted.delete(3)
     assert restarted.epoch == 2
+    assert "_deferred_load" in restarted.ads.__dict__
+    assert encoding in assert_publish_matches_forced_rebuild(restarted, base)
     assert_matches_fresh_rebuild(restarted, _queries(len(restarted.dataset)))
 
 
 @pytest.mark.slow
-def test_thousand_record_update_smoke():
+def test_thousand_record_update_smoke(tmp_path):
     """n = 1000: one insert and one delete against the persisted arena.
 
     The full timing gate lives in ``python -m repro.bench --update``; this
-    smoke proves the changed-path rebuild itself is exact at paper scale.
+    smoke proves the changed-path rebuild itself is exact at paper scale,
+    and that a delta publish written from the update's own arrays equals
+    the one written after forcing the tree's rebuild.
     """
     from repro.workloads.generator import WorkloadConfig, make_dataset, make_template
 
@@ -274,6 +300,8 @@ def test_thousand_record_update_smoke():
         config=SystemConfig(scheme="one-signature", signature_algorithm="hmac"),
         rng=random.Random(3),
     )
+    base = tmp_path / "epoch0.npz"
+    owner.publish(base)
     rng = random.Random(4)
     report = owner.insert(
         Record(record_id=1000, values=(rng.uniform(0, 10), rng.uniform(0, 10)))
@@ -281,6 +309,9 @@ def test_thousand_record_update_smoke():
     assert report.strategy == "incremental"
     report = owner.delete(123)
     assert report.strategy == "incremental"
+    assert "ads_perm_row0" in assert_publish_matches_forced_rebuild(
+        owner, base, full=False
+    )
     fresh = DataOwner(
         owner.dataset, template, config=owner.config, keypair=owner.keypair, epoch=2
     )
