@@ -10,6 +10,13 @@ correctness guard asserts that the loaded server answers a query with a
 verification object and cost counters bit-identical to the in-process
 build before any number is reported.
 
+After the load, the cold server answers ``COLDSTART_QUERIES`` top-k
+queries, each with its own random weight vector, so almost every one is
+the first touch of its subdomain (region replay, FMH view attach, range
+proof).  The median and p90 of :meth:`repro.core.server.Server.execute`
+and the growth of the process's resident set across those queries are
+reported; they are not gated.
+
 ``python -m repro.bench --coldstart`` sweeps n ∈ {500, 1000} and writes
 ``BENCH_coldstart.json``, gating load ≥ 10x faster than rebuild at
 n = 1000; ``--coldstart --smoke`` is the reduced-n CI version of the same
@@ -23,6 +30,7 @@ import gc
 import json
 import os
 import random
+import statistics
 import tempfile
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -31,12 +39,19 @@ from repro.bench.harness import ExperimentResult
 from repro.core.config import SystemConfig
 from repro.core.owner import DataOwner
 from repro.core.queries import TopKQuery
+from repro.core.records import UtilityTemplate
 from repro.core.server import Server
 from repro.crypto.signer import make_signer
-from repro.workloads.generator import WorkloadConfig, make_dataset, make_template
+from repro.workloads.generator import (
+    WorkloadConfig,
+    make_dataset,
+    make_template,
+    make_weight_vector,
+)
 
 __all__ = [
     "COLDSTART_N_VALUES",
+    "COLDSTART_QUERIES",
     "COLDSTART_SPEEDUP_FLOOR",
     "COLDSTART_REPEATS",
     "COLDSTART_REPORT_FILENAME",
@@ -57,6 +72,8 @@ COLDSTART_SPEEDUP_FLOOR = 10.0
 COLDSTART_REPEATS = 3
 #: Where ``python -m repro.bench --coldstart`` records its trajectory.
 COLDSTART_REPORT_FILENAME = "BENCH_coldstart.json"
+#: Fresh-weight queries sent to each cold-started server (first touches).
+COLDSTART_QUERIES = 200
 
 #: Reduced-n configuration used by ``--coldstart --smoke`` (CI).  The floor
 #: is conservative: artifact loading has a fixed per-file cost that the
@@ -114,6 +131,8 @@ def coldstart_point(
         if cleanup:
             os.unlink(artifact_path)
 
+    first_touch = _first_touch_queries(server, template, n_records, seed)
+
     # Correctness guard: the speedup must never come from loading something
     # else.  One query through both servers, bit-identical end to end.
     query = TopKQuery(weights=(0.5,), k=min(5, n_records))
@@ -135,9 +154,41 @@ def coldstart_point(
         "load_seconds": load_seconds,
         "speedup": build_seconds / load_seconds,
         "artifact_bytes": artifact_bytes,
+        **first_touch,
     }
     gc.collect()
     return point
+
+
+def _resident_mb() -> float:
+    """Current resident set size of this process (Linux ``/proc/self/statm``)."""
+    with open("/proc/self/statm", encoding="ascii") as stream:
+        resident_pages = int(stream.read().split()[1])
+    return resident_pages * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
+def _first_touch_queries(
+    server: Server, template: UtilityTemplate, n_records: int, seed: int
+) -> Dict[str, float]:
+    """Time ``COLDSTART_QUERIES`` fresh-weight top-k queries on a cold server."""
+    rng = random.Random(seed + 7)
+    queries = [
+        TopKQuery(weights=make_weight_vector(template, rng), k=min(10, n_records))
+        for _ in range(COLDSTART_QUERIES)
+    ]
+    gc.collect()
+    resident_before = _resident_mb()
+    execute_ms = []
+    for query in queries:
+        started = time.perf_counter()
+        server.execute(query)
+        execute_ms.append((time.perf_counter() - started) * 1e3)
+    gc.collect()
+    return {
+        "query_p50_ms": statistics.median(execute_ms),
+        "query_p90_ms": statistics.quantiles(execute_ms, n=10)[-1],
+        "query_rss_growth_mb": _resident_mb() - resident_before,
+    }
 
 
 def run_coldstart(
@@ -164,6 +215,9 @@ def run_coldstart(
             "speedup",
             "artifact_bytes",
             "subdomains",
+            "query_p50_ms",
+            "query_p90_ms",
+            "query_rss_growth_mb",
         ),
     )
     trajectory: List[Dict[str, object]] = []
@@ -187,6 +241,7 @@ def run_coldstart(
             "floor": speedup_floor,
             "headline_n": headline["n"],
             "headline_speedup": headline["speedup"],
+            "queries": COLDSTART_QUERIES,
             "trajectory": trajectory,
         }
         with open(output_path, "w", encoding="utf-8") as stream:

@@ -38,12 +38,19 @@ and counters are bit-for-bit the values the per-tree
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.crypto.hashing import DIGEST_SIZE, HashFunction
-from repro.merkle.mh_tree import MerkleTree, level_sizes
+from repro.merkle.mh_tree import (
+    MembershipProof,
+    MerkleTree,
+    RangeProof,
+    level_sizes,
+    membership_proof_nodes,
+    range_proof_nodes,
+)
 
 __all__ = [
     "MerkleArena",
@@ -157,14 +164,18 @@ class MerkleArena:
 
 
 class ArenaMerkleTree(MerkleTree):
-    """Lazy :class:`MerkleTree` view over an arena-resident tree.
+    """:class:`MerkleTree` view over an arena-resident tree.
 
-    Exposes the exact node-object API (``levels``, ``root``, proofs) of a
-    tree built leaf-up, but materializes the per-level digest lists only on
-    first use -- queries touch a handful of subdomains, so the Theta(total
-    nodes) list-of-bytes representation is never built for the rest of the
-    forest.  Proof construction and verification are inherited unchanged
-    from :class:`MerkleTree`, so verification objects are bit-identical.
+    Exposes the node-object API (``root``, proofs, ``levels``) of a tree
+    built leaf-up, and its proofs build no digest lists: a proof walks the
+    root paths of the leaves it proves through the arena's child arrays
+    and reads the digests it carries with one gather.  Which ``(level,
+    position)`` nodes a proof carries comes from the same rule
+    :class:`MerkleTree` uses (:func:`~repro.merkle.mh_tree.range_proof_nodes`,
+    :func:`~repro.merkle.mh_tree.membership_proof_nodes`), so verification
+    objects are bit-identical.  ``levels`` still builds (and caches) the
+    whole tree as lists of bytes; it is the reference that tests compare
+    against, and nothing on the query path reads it.
     """
 
     def __init__(
@@ -175,7 +186,7 @@ class ArenaMerkleTree(MerkleTree):
         hash_function: Optional[HashFunction] = None,
     ):
         # Deliberately does not call MerkleTree.__init__: nothing is hashed
-        # and no levels are stored until a proof needs them.
+        # and no levels are stored.
         self._hash = hash_function or HashFunction()
         self._arena = arena
         self._root_index = root_index
@@ -195,6 +206,7 @@ class ArenaMerkleTree(MerkleTree):
 
     @property
     def levels(self) -> List[List[bytes]]:  # type: ignore[override]
+        """Every level as digest bytes, built on first use and cached (tests)."""
         if self._materialized is None:
             self._materialized = self._arena.byte_levels(self._root_index, self._leaf_count)
         return self._materialized
@@ -216,7 +228,72 @@ class ArenaMerkleTree(MerkleTree):
         return sum(level_sizes(self._leaf_count))
 
     def leaf_hash(self, index: int) -> bytes:
-        return self.levels[0][index]
+        if not -self._leaf_count <= index < self._leaf_count:
+            raise IndexError("leaf index out of range")
+        return self._arena.digest_bytes(self._root_path(index % self._leaf_count)[0])
+
+    # --------------------------------------------------------------- proofs
+    def membership_proof(self, leaf_index: int) -> MembershipProof:
+        nodes = membership_proof_nodes(leaf_index, self._leaf_count)
+        return MembershipProof(
+            leaf_index=leaf_index,
+            leaf_count=self._leaf_count,
+            siblings=self._proof_entries(nodes, leaf_index, leaf_index),
+        )
+
+    def range_proof(self, start: int, end: int) -> RangeProof:
+        nodes = range_proof_nodes(start, end, self._leaf_count)
+        return RangeProof(
+            start=start,
+            end=end,
+            leaf_count=self._leaf_count,
+            supplements=self._proof_entries(nodes, start, end),
+        )
+
+    def _root_path(self, leaf: int) -> List[int]:
+        """Arena node index at every level of ``leaf``'s root path, leaves first.
+
+        Walks down from the root through the child arrays.  Level ``L``
+        holds ``(last >> L) + 1`` nodes, so an even position equal to
+        ``last >> L`` is the last node of an odd level: carried, it keeps
+        its parent's index.
+        """
+        left, right = self._arena.left, self._arena.right
+        last = self._leaf_count - 1
+        node = self._root_index
+        path = [node] * (last.bit_length() + 1)
+        for level in range(last.bit_length() - 1, -1, -1):
+            position = leaf >> level
+            if position & 1:
+                node = right.item(node)
+            elif position != last >> level:
+                node = left.item(node)
+            path[level] = node
+        return path
+
+    def _proof_entries(
+        self, nodes: List[Tuple[int, int]], low_leaf: int, high_leaf: int
+    ) -> Tuple[Tuple[int, int, bytes], ...]:
+        """``(level, position, digest)`` of every proof node in ``nodes``.
+
+        Each node is a child of a node on the root path of ``low_leaf`` or
+        ``high_leaf``, so one walk per end and one gather from the digest
+        matrix read them all.
+        """
+        if not nodes:
+            return ()
+        arena = self._arena
+        low = self._root_path(low_leaf)
+        high = low if high_leaf == low_leaf else self._root_path(high_leaf)
+        indices = []
+        for level, index in nodes:
+            parent = (low if index >> 1 == low_leaf >> (level + 1) else high)[level + 1]
+            indices.append((arena.right if index & 1 else arena.left).item(parent))
+        flat = arena.digests.take(indices, axis=0).tobytes()
+        return tuple(
+            (level, index, flat[offset : offset + DIGEST_SIZE])
+            for (level, index), offset in zip(nodes, range(0, len(flat), DIGEST_SIZE))
+        )
 
 
 class _NodeStore:

@@ -131,7 +131,8 @@ class FMHTree:
         ``sorted_items`` may be any read-only sequence (e.g. a lazy
         :class:`repro.itree.permutation.PermutedView` over the shared
         permutation array) and is *not* copied; ``tree`` is typically an
-        arena-backed lazy view whose levels materialize on first proof.
+        arena-backed view that reads each proof from the arena's child
+        arrays and holds no digest lists.
         The resulting object is observationally identical to one built
         through :meth:`__init__` over the same items.
         """

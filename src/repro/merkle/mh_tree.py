@@ -27,7 +27,14 @@ from typing import Dict, List, MutableMapping, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import HashFunction
 
-__all__ = ["MerkleTree", "MembershipProof", "RangeProof", "level_sizes"]
+__all__ = [
+    "MerkleTree",
+    "MembershipProof",
+    "RangeProof",
+    "level_sizes",
+    "membership_proof_nodes",
+    "range_proof_nodes",
+]
 
 
 def level_sizes(leaf_count: int) -> list[int]:
@@ -42,6 +49,48 @@ def level_sizes(leaf_count: int) -> list[int]:
     while sizes[-1] > 1:
         sizes.append((sizes[-1] + 1) // 2)
     return sizes
+
+
+def membership_proof_nodes(leaf_index: int, leaf_count: int) -> list[tuple[int, int]]:
+    """``(level, position)`` of every sibling a membership proof carries.
+
+    Bottom-up; a node carried up an odd level (that level's last node) has
+    no sibling there and contributes nothing.  Every listed node is a child
+    of the node one level up on the leaf's root path.
+    """
+    if not (0 <= leaf_index < leaf_count):
+        raise IndexError(f"leaf index {leaf_index} out of range")
+    nodes: list[tuple[int, int]] = []
+    index = leaf_index
+    for level, size in enumerate(level_sizes(leaf_count)[:-1]):
+        if index != size - 1 or size % 2 == 0:
+            nodes.append((level, index ^ 1))
+        index //= 2
+    return nodes
+
+
+def range_proof_nodes(start: int, end: int, leaf_count: int) -> list[tuple[int, int]]:
+    """``(level, position)`` of every supplement a range proof carries, in order.
+
+    The proven range stays contiguous as it climbs, so only its two ends
+    can need an off-range sibling: the low end its left sibling when its
+    position is odd, the high end its right sibling when its position is
+    even and it is not carried (the last node of an odd level).  Levels
+    run bottom-up, the low end first within a level.  Every listed node is
+    a child of the node one level up on the root path of ``start`` or
+    ``end``.
+    """
+    if not (0 <= start <= end < leaf_count):
+        raise IndexError(f"range [{start}, {end}] out of bounds for {leaf_count} leaves")
+    nodes: list[tuple[int, int]] = []
+    for level, size in enumerate(level_sizes(leaf_count)[:-1]):
+        if start % 2 == 1:
+            nodes.append((level, start - 1))
+        if end % 2 == 0 and end + 1 < size:
+            nodes.append((level, end + 1))
+        start //= 2
+        end //= 2
+    return nodes
 
 
 @dataclass(frozen=True)
@@ -170,46 +219,21 @@ class MerkleTree:
     # --------------------------------------------------------------- proofs
     def membership_proof(self, leaf_index: int) -> MembershipProof:
         """Authentication path proving that leaf ``leaf_index`` is in the tree."""
-        if not (0 <= leaf_index < self.leaf_count):
-            raise IndexError(f"leaf index {leaf_index} out of range")
-        siblings: list[tuple[int, int, bytes]] = []
-        index = leaf_index
-        for level in range(len(self.levels) - 1):
-            size = len(self.levels[level])
-            if index == size - 1 and size % 2 == 1:
-                # Carried node: no sibling at this level.
-                index //= 2
-                continue
-            sibling = index + 1 if index % 2 == 0 else index - 1
-            siblings.append((level, sibling, self.levels[level][sibling]))
-            index //= 2
+        nodes = membership_proof_nodes(leaf_index, self.leaf_count)
         return MembershipProof(
-            leaf_index=leaf_index, leaf_count=self.leaf_count, siblings=tuple(siblings)
+            leaf_index=leaf_index,
+            leaf_count=self.leaf_count,
+            siblings=tuple((level, index, self.levels[level][index]) for level, index in nodes),
         )
 
     def range_proof(self, start: int, end: int) -> RangeProof:
         """Proof for the contiguous leaf range ``[start, end]`` (inclusive)."""
-        if not (0 <= start <= end < self.leaf_count):
-            raise IndexError(
-                f"range [{start}, {end}] out of bounds for {self.leaf_count} leaves"
-            )
-        supplements: list[tuple[int, int, bytes]] = []
-        known = set(range(start, end + 1))
-        for level in range(len(self.levels) - 1):
-            size = len(self.levels[level])
-            parents: set[int] = set()
-            for index in sorted(known):
-                parent = index // 2
-                parents.add(parent)
-                if index == size - 1 and size % 2 == 1:
-                    continue  # carried node, no sibling
-                sibling = index + 1 if index % 2 == 0 else index - 1
-                if sibling not in known:
-                    supplements.append((level, sibling, self.levels[level][sibling]))
-                    known.add(sibling)
-            known = parents
+        nodes = range_proof_nodes(start, end, self.leaf_count)
         return RangeProof(
-            start=start, end=end, leaf_count=self.leaf_count, supplements=tuple(supplements)
+            start=start,
+            end=end,
+            leaf_count=self.leaf_count,
+            supplements=tuple((level, index, self.levels[level][index]) for level, index in nodes),
         )
 
     # --------------------------------------------------------- verification

@@ -21,6 +21,8 @@ def test_coldstart_point_measures_and_guards(tmp_path):
     assert point["speedup"] == point["build_seconds"] / point["load_seconds"]
     assert point["artifact_bytes"] == artifact.stat().st_size
     assert point["subdomains"] > 30
+    assert 0 < point["query_p50_ms"] <= point["query_p90_ms"]
+    assert isinstance(point["query_rss_growth_mb"], float)
 
 
 def test_coldstart_point_cleans_up_its_temp_artifact():
@@ -49,6 +51,9 @@ def test_run_coldstart_writes_trajectory(tmp_path):
     assert payload["benchmark"] == "ads-artifact-coldstart"
     assert payload["headline_n"] == 30
     assert payload["headline_speedup"] == payload["trajectory"][-1]["speedup"]
+    assert payload["queries"] == 200
+    for point in payload["trajectory"]:
+        assert {"query_p50_ms", "query_p90_ms", "query_rss_growth_mb"} <= set(point)
 
 
 def test_run_coldstart_reports_regression_below_floor(tmp_path):

@@ -77,16 +77,41 @@ def test_forest_of_permuted_rows_matches_per_tree_builds(leaf_count):
         assert view.levels == plain.levels
 
 
-@pytest.mark.parametrize("leaf_count", [3, 8, 11])
+@pytest.mark.parametrize(
+    "leaf_count", list(range(1, 18)) + [31, 32, 33, 63, 64, 65]
+)
 def test_view_proofs_match_merkle_tree_proofs(leaf_count):
+    """Every carry shape up to depth 5, plus both sides of 32 and 64.
+
+    Proofs are read from the arena's child arrays: no proof, leaf read or
+    rejected range may build the view's digest lists.
+    """
     payloads = _payloads(leaf_count)
     plain = MerkleTree([sha256(p) for p in payloads])
     (view,) = _forest_views([payloads])
+    for index in range(-leaf_count, leaf_count):
+        assert view.leaf_hash(index) == plain.leaf_hash(index)
     for index in range(leaf_count):
         assert view.membership_proof(index) == plain.membership_proof(index)
+        assert view._materialized is None
     for start in range(leaf_count):
         for end in range(start, leaf_count):
             assert view.range_proof(start, end) == plain.range_proof(start, end)
+            assert view._materialized is None
+    for bad in (leaf_count, -leaf_count - 1):
+        with pytest.raises(IndexError):
+            view.leaf_hash(bad)
+        with pytest.raises(IndexError):
+            plain.leaf_hash(bad)
+    for start, end in ((-1, 0), (0, leaf_count), (1, 0)):
+        with pytest.raises(IndexError) as from_view:
+            view.range_proof(start, end)
+        with pytest.raises(IndexError) as from_plain:
+            plain.range_proof(start, end)
+        assert str(from_view.value) == str(from_plain.value)
+    with pytest.raises(IndexError, match="out of range"):
+        view.membership_proof(leaf_count)
+    assert view._materialized is None
 
 
 def test_view_levels_are_lazy_and_cached():

@@ -12,9 +12,11 @@ import hashlib
 import random
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from repro.crypto.hashing import HashFunction
 from repro.merkle.arena import ArenaMerkleTree, DeltaForestHasher, ForestHasher
+from repro.merkle.mh_tree import MerkleTree
 
 
 def _forest_rows(rng, n_trees, n_leaves, n_payloads):
@@ -163,3 +165,66 @@ def test_delta_forest_reuses_pair_tables():
         int(fresh_roots[0])
     )
     assert first_roots.shape == (1,)
+
+
+@given(n_leaves=st.integers(min_value=1, max_value=24), data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_property_delta_arena_proofs_match_merkle_tree(n_leaves, data):
+    """Proofs read from an updated arena equal MerkleTree's over the new rows.
+
+    Tree 0 of the new forest holds at least one payload the seed never saw,
+    so its root path runs through appended nodes while its other leaves
+    (and every pair the seed already holds) keep their seed indices.
+    """
+    payloads = [b"payload-%d" % index for index in range(5)]
+    fresh = [b"fresh-%d" % index for index in range(3)]
+    everything = payloads + fresh
+
+    def rows(values, label):
+        row = st.lists(values, min_size=n_leaves, max_size=n_leaves)
+        return data.draw(st.lists(row, min_size=1, max_size=4), label=label)
+
+    old_hasher = ForestHasher()
+    old_hash = HashFunction()
+    old_leaves = old_hasher.intern_leaves(payloads, old_hash)
+    old_hasher.build_forest(
+        old_leaves[np.array(rows(st.integers(0, 4), "old"), dtype=np.int64)], old_hash
+    )
+    seed = old_hasher.finalize()
+
+    new_rows = rows(st.integers(0, 7), "new")
+    position = data.draw(st.integers(0, n_leaves - 1), label="fresh position")
+    new_rows[0][position] = 5 + data.draw(st.integers(0, 2), label="fresh payload")
+
+    delta = DeltaForestHasher(seed)
+    delta_hash = HashFunction()
+    payload_index = np.array(
+        [delta.leaf_index_of(hashlib.sha256(payload).digest()) for payload in payloads]
+        + [delta.intern_leaf(payload, delta_hash) for payload in fresh],
+        dtype=np.int64,
+    )
+    leaf_matrix = payload_index[np.array(new_rows, dtype=np.int64)]
+    changed = leaf_matrix[1:] != leaf_matrix[:-1]
+    change_tree, change_col = np.nonzero(changed)
+    roots = delta.build(
+        leaf_matrix[0],
+        (change_tree + 1).astype(np.int64),
+        change_col.astype(np.int64),
+        leaf_matrix[1:][changed].astype(np.int64),
+        len(new_rows),
+        delta_hash,
+    )
+    arena = delta.finalize()
+    first_tree = np.concatenate(arena.index_levels(int(roots[0]), n_leaves))
+    assert (first_tree >= len(seed)).any()
+    if n_leaves > 1 and set(new_rows[0]) & set(range(5)):
+        assert (first_tree < len(seed)).any()
+
+    for row, root in zip(new_rows, roots.tolist()):
+        plain = MerkleTree([hashlib.sha256(everything[value]).digest() for value in row])
+        view = ArenaMerkleTree(arena, root, n_leaves)
+        start = data.draw(st.integers(0, n_leaves - 1), label="start")
+        end = data.draw(st.integers(start, n_leaves - 1), label="end")
+        assert view.range_proof(start, end) == plain.range_proof(start, end)
+        assert view.membership_proof(end) == plain.membership_proof(end)
+        assert view._materialized is None

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.crypto.hashing import HashFunction, sha256
-from repro.merkle.mh_tree import MerkleTree, level_sizes
+from repro.merkle.mh_tree import (
+    MerkleTree,
+    level_sizes,
+    membership_proof_nodes,
+    range_proof_nodes,
+)
 from repro.metrics.counters import Counters
 
 
@@ -126,6 +131,40 @@ def test_range_proof_out_of_bounds():
     tree = MerkleTree(_leaves(4))
     with pytest.raises(IndexError):
         tree.range_proof(2, 4)
+
+
+def _range_nodes_by_closure(start, end, leaf_count):
+    """Reference: every off-range sibling of the known set, level by level.
+
+    The known set starts as the proven leaves; at each level every known
+    node whose sibling is unknown (and which is not carried) ships that
+    sibling, and the parents become the next level's known set.
+    """
+    nodes = []
+    known = set(range(start, end + 1))
+    for level, size in enumerate(level_sizes(leaf_count)[:-1]):
+        for index in sorted(known):
+            if index == size - 1 and size % 2 == 1:
+                continue
+            sibling = index ^ 1
+            if sibling not in known:
+                nodes.append((level, sibling))
+                known.add(sibling)
+        known = {index // 2 for index in known}
+    return nodes
+
+
+@pytest.mark.parametrize("count", list(range(1, 41)))
+def test_proof_node_rules_match_the_closure_walk(count):
+    """The two-ends supplement rule is the known-set closure, node for node."""
+    for start in range(count):
+        assert membership_proof_nodes(start, count) == _range_nodes_by_closure(
+            start, start, count
+        )
+        for end in range(start, count):
+            assert range_proof_nodes(start, end, count) == _range_nodes_by_closure(
+                start, end, count
+            )
 
 
 def test_range_proof_node_count_is_logarithmic():

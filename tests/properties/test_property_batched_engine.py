@@ -23,7 +23,7 @@ from repro.core.server import Server
 from repro.crypto.hashing import HashFunction, sha256
 from repro.geometry.domain import Domain
 from repro.ifmh.ifmh_tree import IFMHTree, MULTI_SIGNATURE, ONE_SIGNATURE
-from repro.merkle.arena import ArenaMerkleTree, ForestHasher
+from repro.merkle.arena import ArenaMerkleTree, ForestHasher, arena_from_level_trees
 from repro.merkle.mh_tree import MerkleTree
 from repro.metrics.counters import Counters
 from repro.workloads.generator import WorkloadConfig, make_dataset, make_template
@@ -157,14 +157,24 @@ def test_property_batched_and_node_builds_agree(rows):
     assert counters[True].physical_hash_operations == counters[False].physical_hash_operations
 
 
+def _draw_range(data, leaf_count):
+    start = data.draw(st.integers(0, leaf_count - 1), label="start")
+    end = data.draw(st.integers(start, leaf_count - 1), label="end")
+    return start, end
+
+
 @given(
-    leaf_count=st.integers(min_value=1, max_value=17),
+    leaf_count=st.one_of(st.integers(1, 40), st.sampled_from([63, 64, 65, 127, 128, 129])),
     tree_count=st.integers(min_value=1, max_value=6),
     data=st.data(),
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_property_forest_matches_per_tree_merkle_builds(leaf_count, tree_count, data):
-    """Random permuted forests at every carry shape match MerkleTree."""
+    """Random permuted forests at every carry shape match MerkleTree.
+
+    Proofs are compared first: they are read from the arena and must leave
+    the view's digest lists unbuilt.
+    """
     payloads = [b"record-%d" % i for i in range(leaf_count)]
     rows = [
         data.draw(st.permutations(payloads), label=f"row-{t}") for t in range(tree_count)
@@ -179,8 +189,37 @@ def test_property_forest_matches_per_tree_merkle_builds(leaf_count, tree_count, 
     for row, root in zip(rows, roots.tolist()):
         plain = MerkleTree([sha256(p) for p in row])
         view = ArenaMerkleTree(arena, root, leaf_count)
+        start, end = _draw_range(data, leaf_count)
+        assert view.range_proof(start, end) == plain.range_proof(start, end)
+        assert view.membership_proof(start) == plain.membership_proof(start)
+        assert view._materialized is None
         assert view.root == plain.root
         assert view.levels == plain.levels
+
+
+@given(
+    leaf_counts=st.lists(st.integers(1, 33), min_size=1, max_size=5),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_property_level_tree_arena_proofs_match_merkle_tree(leaf_counts, data):
+    """Trees re-encoded by value (non-batched builds at publish) prove the same."""
+    payloads = [b"payload-%d" % i for i in range(6)]
+    trees = [
+        MerkleTree(
+            [
+                sha256(data.draw(st.sampled_from(payloads), label="leaf"))
+                for _ in range(leaf_count)
+            ]
+        )
+        for leaf_count in leaf_counts
+    ]
+    arena, roots = arena_from_level_trees(trees)
+    for tree, root in zip(trees, roots.tolist()):
+        view = ArenaMerkleTree(arena, root, tree.leaf_count)
+        start, end = _draw_range(data, tree.leaf_count)
+        assert view.range_proof(start, end) == tree.range_proof(start, end)
+        assert view._materialized is None
 
 
 @pytest.mark.slow
