@@ -15,6 +15,7 @@ import pytest
 
 from conftest import record_table
 from repro.bench.figures import fig5_data_owner
+from repro.core.config import SystemConfig
 from repro.core.owner import DataOwner, SIGNATURE_MESH
 from repro.ifmh.ifmh_tree import MULTI_SIGNATURE, ONE_SIGNATURE
 from repro.workloads.generator import make_dataset, make_template
@@ -54,7 +55,9 @@ def test_fig5a_signature_count(fig5, bench_config, benchmark):
 
     def build_and_count():
         owner = DataOwner(
-            dataset, template, scheme=MULTI_SIGNATURE, signature_algorithm="hmac"
+            dataset,
+            template,
+            config=SystemConfig(scheme=MULTI_SIGNATURE, signature_algorithm="hmac"),
         )
         return owner.signature_count
 
@@ -81,7 +84,7 @@ def test_fig5b_construction_time(fig5, bench_config, benchmark):
 
     def build_one_signature():
         return DataOwner(
-            dataset, template, scheme=ONE_SIGNATURE, signature_algorithm="hmac"
+            dataset, template, config=SystemConfig(scheme=ONE_SIGNATURE, signature_algorithm="hmac")
         )
 
     benchmark.pedantic(build_one_signature, rounds=1, iterations=1)
@@ -103,7 +106,9 @@ def test_fig5c_structure_size(fig5, bench_config, benchmark):
     workload = bench_config.workload(smallest)
     dataset = make_dataset(workload)
     template = make_template(workload)
-    owner = DataOwner(dataset, template, scheme=ONE_SIGNATURE, signature_algorithm="hmac")
+    owner = DataOwner(
+        dataset, template, config=SystemConfig(scheme=ONE_SIGNATURE, signature_algorithm="hmac")
+    )
 
     size = benchmark(owner.ads_size_bytes)
     assert size > 0

@@ -8,12 +8,12 @@ signature-mesh baseline it is compared against.
 
 Quick start
 -----------
->>> from repro import Dataset, UtilityTemplate, OutsourcedSystem, TopKQuery
+>>> from repro import Dataset, UtilityTemplate, OutsourcedSystem, SystemConfig, TopKQuery
 >>> dataset = Dataset.from_rows(("gpa", "award", "paper"),
 ...                             [(3.9, 2, 4), (3.5, 1, 7), (3.2, 0, 2)])
 >>> template = UtilityTemplate(attributes=("gpa", "award"))
->>> system = OutsourcedSystem.setup(dataset, template, scheme="one-signature",
-...                                 signature_algorithm="hmac")
+>>> config = SystemConfig(scheme="one-signature", signature_algorithm="hmac")
+>>> system = OutsourcedSystem.setup(dataset, template, config=config)
 >>> execution, report = system.query_and_verify(TopKQuery(weights=(0.6, 0.4), k=2))
 >>> report.is_valid
 True
@@ -24,12 +24,14 @@ For the univariate interval configuration (the paper's benchmark setting)
 the IFMH-tree is built by a vectorized **bulk builder**: all pairwise
 breakpoints are computed in one numpy pass, sorted once, and assembled into
 a *balanced* I-tree -- no per-hyperplane BFS insertion.  The paper's
-incremental insertion remains the reference implementation and is used
-automatically for d >= 2 (the LP-engine configuration) and for ablations;
-select it explicitly with ``build_mode="incremental"`` on
-:class:`DataOwner` / :class:`~repro.ifmh.IFMHTree`, or validate the bulk
-assembly with ``build_mode="balanced-incremental"`` (the property tests
-check bit-identical root hashes between the two).
+incremental insertion builds the paper's tree shape and is used
+automatically for d >= 2 (the LP-engine configuration); select it
+explicitly with ``SystemConfig(build_mode="incremental")``.  Every
+subdomain's FMH-tree is then built at once, level by level across the
+whole forest, so nodes that neighbouring subdomains share are hashed
+once.  The slow, obvious constructions these fast paths must match bit for
+bit live in :mod:`repro.reference`, which only tests and benchmarks
+import.
 
 On the query side, servers score a subdomain with a single cached
 ``A @ w + b`` matvec and expose ``Server.execute_batch(queries)``, which

@@ -77,10 +77,10 @@ def all_rules() -> Sequence[Rule]:
     from repro.analysis.rules.hashing import CountedDigestRule
     from repro.analysis.rules.locking import LockGuardRule
     from repro.analysis.rules.persistence import AtomicPersistenceRule
+    from repro.analysis.rules.reference import ReferenceImportRule
     from repro.analysis.rules.robustness import SwallowedBroadExceptRule
     from repro.analysis.rules.scaling import CpuCountRule
     from repro.analysis.rules.serving import ServingWallClockRule
-    from repro.analysis.rules.toggles import LiveSlowPathRule
 
     return (
         CountedDigestRule(),
@@ -89,7 +89,7 @@ def all_rules() -> Sequence[Rule]:
         UnseededEntropyRule(),
         ExactPredicateRule(),
         LockGuardRule(),
-        LiveSlowPathRule(),
+        ReferenceImportRule(),
         SwallowedBroadExceptRule(),
         AtomicPersistenceRule(),
         ServingWallClockRule(),

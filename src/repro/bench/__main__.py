@@ -7,7 +7,7 @@ Usage::
     python -m repro.bench --quick         # smallest scales, hmac signatures
     python -m repro.bench --smoke         # fast-path regression gate only
     python -m repro.bench --fastpath      # full fast-path benchmark (n = 200)
-    python -m repro.bench --construction  # shared-structure hashing benchmark
+    python -m repro.bench --construction  # batched-vs-naive hashing benchmark
                                           # (sweeps n, writes BENCH_construction.json)
     python -m repro.bench --scale         # thousand-record construction benchmark
                                           # (sweeps n, writes BENCH_scale.json)
@@ -103,7 +103,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     )
     parser.add_argument(
         "--build-mode",
-        choices=("auto", "bulk", "incremental", "balanced-incremental"),
+        choices=("auto", "bulk", "incremental"),
         default=None,
         help="IFMH I-tree builder for the figures (default: incremental, the "
         "paper's exact insertion-order tree shape; auto/bulk = the vectorized "
@@ -122,16 +122,16 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     parser.add_argument(
         "--construction",
         action="store_true",
-        help="run the shared-structure construction benchmark (IFMH hashing with the "
-        f"Merkle engine on vs off, n sweep up to 200) and write {CONSTRUCTION_REPORT_FILENAME}; "
-        "exit 1 if the physical-hash reduction misses its floor",
+        help="run the construction benchmark (IFMH hashing through the batched forest "
+        f"engine vs the naive reference, n sweep up to 200) and write "
+        f"{CONSTRUCTION_REPORT_FILENAME}; exit 1 if the physical-hash reduction misses its floor",
     )
     parser.add_argument(
         "--scale",
         action="store_true",
-        help="run the thousand-record construction benchmark (level-order batched "
-        f"engine vs node-at-a-time, n sweep up to 2000) and write {SCALE_REPORT_FILENAME}; "
-        "exit 1 if the wall-clock speedup misses its floor; combine with --smoke for "
+        help="run the thousand-record construction benchmark (batched build times, "
+        f"n sweep up to 2000, plus the parallel-build gates) and write {SCALE_REPORT_FILENAME}; "
+        "exit 1 if a parallel speedup misses its floor; combine with --smoke for "
         f"the reduced-n CI gate (writes {SMOKE_SCALE_REPORT_FILENAME})",
     )
     parser.add_argument(

@@ -14,8 +14,9 @@ the paper reproduction:
   paths must return identical records; the interesting number is the
   queries-per-second ratio.
 
-* :func:`construction_comparison` -- the full IFMH (step 2/3) construction
-  with the shared-structure Merkle engine on vs off.  Root hashes must be
+* :func:`construction_comparison` -- the full IFMH construction through
+  the batched forest engine vs the naive one-subdomain-at-a-time reference
+  (:func:`repro.reference.naive_ifmh_tree`).  Root hashes must be
   bit-identical and the *logical* hash counts equal; the interesting number
   is the reduction in *physical* SHA-256 invocations.
   ``python -m repro.bench --construction`` sweeps several database sizes
@@ -35,12 +36,14 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from repro.bench.harness import ExperimentResult
+from repro.core.config import SystemConfig
 from repro.core.owner import DataOwner
 from repro.core.queries import AnalyticQuery, KNNQuery, RangeQuery, TopKQuery
 from repro.core.server import Server
 from repro.ifmh.ifmh_tree import IFMHTree
 from repro.itree.itree import ITree
 from repro.metrics.counters import Counters
+from repro.reference import naive_ifmh_tree
 from repro.workloads.generator import (
     WorkloadConfig,
     make_dataset,
@@ -67,9 +70,9 @@ __all__ = [
 #: n = 200 benchmark targets >= 5x build and > 1x batch speedups).
 SMOKE_BUILD_SPEEDUP_FLOOR = 2.0
 SMOKE_BATCH_SPEEDUP_FLOOR = 1.05
-#: Physical-hash reduction the shared-structure engine must clear in the
-#: smoke run (n = 60; the full ``--construction`` gate demands >= 5x at
-#: n = 200, where sharing is far more effective).
+#: Physical-hash reduction the batched forest engine must clear over the
+#: naive reference in the smoke run (n = 60; the full ``--construction``
+#: gate demands >= 5x at n = 200, where sharing is far more effective).
 SMOKE_CONSTRUCTION_REDUCTION_FLOOR = 4.0
 #: Acceptance floor for the full construction benchmark at its largest n.
 CONSTRUCTION_REDUCTION_FLOOR = 5.0
@@ -77,14 +80,16 @@ CONSTRUCTION_REDUCTION_FLOOR = 5.0
 CONSTRUCTION_REPORT_FILENAME = "BENCH_construction.json"
 
 
-def best_ifmh_build(dataset, template, repeats: int = 3, **kwargs):
+def best_ifmh_build(dataset, template, repeats: int = 3, build=IFMHTree, **kwargs):
     """Best wall-clock of ``repeats`` IFMH builds (gc forced before each).
 
     The shared timing discipline of every construction gate (``--smoke``,
     ``--construction``, ``--scale``): a scheduler hiccup or GC pause on a
-    loaded machine cannot flip a comparison.  Returns ``(best_seconds,
-    tree, counters)`` from the last run -- the builds are deterministic,
-    so every run produces identical hashes and counters.
+    loaded machine cannot flip a comparison.  ``build`` is the constructor
+    timed (``IFMHTree``, or :func:`repro.reference.naive_ifmh_tree` for the
+    reference side).  Returns ``(best_seconds, tree, counters)`` from the
+    last run -- the builds are deterministic, so every run produces
+    identical hashes and counters.
     """
     best_seconds = float("inf")
     tree = None
@@ -94,7 +99,7 @@ def best_ifmh_build(dataset, template, repeats: int = 3, **kwargs):
         counters = Counters()
         gc.collect()
         started = time.perf_counter()
-        tree = IFMHTree(dataset, template, counters=counters, **kwargs)
+        tree = build(dataset, template, counters=counters, **kwargs)
         best_seconds = min(best_seconds, time.perf_counter() - started)
     return best_seconds, tree, counters
 
@@ -177,7 +182,9 @@ def batch_comparison(
     dataset = make_dataset(workload)
     template = make_template(workload)
     owner = DataOwner(
-        dataset, template, scheme="one-signature", signature_algorithm="hmac",
+        dataset,
+        template,
+        config=SystemConfig(scheme="one-signature", signature_algorithm="hmac"),
         rng=random.Random(seed),
     )
     queries = _session_queries(template, unique_weights, queries_per_weight, seed + 1)
@@ -227,25 +234,27 @@ def batch_comparison(
 def construction_comparison(
     n_records: int = 200, seed: int = 0, repeats: int = 3
 ) -> ExperimentResult:
-    """IFMH construction with the shared-structure Merkle engine on vs off.
+    """IFMH construction: the naive reference vs the batched forest engine.
 
-    Both builds must produce the bit-identical root hash and the same
-    *logical* hash count (what Fig. 5a/7a report); the engine only changes
-    which of those hashes physically run.  The headline number is
-    ``physical_reduction``: naive physical SHA-256 invocations divided by
-    the engine's.  ``build_seconds`` is the best of ``repeats`` runs with
-    ``gc.collect()`` forced before each, the same timing discipline as the
-    other wall-clock gates.
+    The ``naive`` row builds every subdomain's FMH-tree on its own
+    (:func:`repro.reference.naive_ifmh_tree`); the ``batched`` row is the
+    production :class:`IFMHTree`.  Both must produce the bit-identical root
+    hash and the same *logical* hash count (what Fig. 5a/7a report); the
+    engine only changes which of those hashes physically run.  The headline
+    number is ``physical_reduction``: naive physical SHA-256 invocations
+    divided by the engine's.  ``build_seconds`` is the best of ``repeats``
+    runs with ``gc.collect()`` forced before each, the same timing
+    discipline as the other wall-clock gates.
     """
     workload = WorkloadConfig(n_records=n_records, dimension=1, seed=seed)
     dataset = make_dataset(workload)
     template = make_template(workload)
     result = ExperimentResult(
         experiment_id="fastpath-construction",
-        title="IFMH construction: naive hashing vs shared-structure Merkle engine",
+        title="IFMH construction: naive reference vs batched forest engine",
         parameters={"n": n_records, "seed": seed},
         columns=(
-            "hash_consing",
+            "engine",
             "build_seconds",
             "logical_hashes",
             "physical_hashes",
@@ -253,34 +262,28 @@ def construction_comparison(
             "subdomains",
         ),
     )
-    observed: Dict[bool, Dict[str, object]] = {}
-    for hash_consing in (False, True):
-        build_seconds, tree, counters = best_ifmh_build(
-            dataset, template, repeats, hash_consing=hash_consing
-        )
-        observed[hash_consing] = {
+    observed: Dict[str, Dict[str, object]] = {}
+    for engine, build in (("naive", naive_ifmh_tree), ("batched", IFMHTree)):
+        build_seconds, tree, counters = best_ifmh_build(dataset, template, repeats, build=build)
+        observed[engine] = {
             "root": tree.root_hash,
             "logical": counters.hash_operations,
             "physical": counters.physical_hash_operations,
             "engine_stats": tree.merkle_engine_stats,
         }
         result.add_row(
-            hash_consing=hash_consing,
+            engine=engine,
             build_seconds=build_seconds,
             logical_hashes=counters.hash_operations,
             physical_hashes=counters.physical_hash_operations,
-            physical_reduction=(
-                1.0
-                if not hash_consing
-                else observed[False]["physical"] / counters.physical_hash_operations
-            ),
+            physical_reduction=observed["naive"]["physical"] / counters.physical_hash_operations,
             subdomains=tree.subdomain_count,
         )
-    if observed[False]["root"] != observed[True]["root"]:  # pragma: no cover - correctness guard
-        raise AssertionError("shared-structure engine changed the IFMH root hash")
-    if observed[False]["logical"] != observed[True]["logical"]:  # pragma: no cover
-        raise AssertionError("shared-structure engine changed the logical hash count")
-    result.parameters["engine_stats"] = observed[True]["engine_stats"]
+    if observed["naive"]["root"] != observed["batched"]["root"]:  # pragma: no cover - guard
+        raise AssertionError("the batched engine changed the IFMH root hash")
+    if observed["naive"]["logical"] != observed["batched"]["logical"]:  # pragma: no cover
+        raise AssertionError("the batched engine changed the logical hash count")
+    result.parameters["engine_stats"] = observed["batched"]["engine_stats"]
     return result
 
 
@@ -300,23 +303,23 @@ def run_construction(
     results = [construction_comparison(n_records=n, seed=seed) for n in n_values]
     trajectory = []
     for n_records, result in zip(n_values, results):
-        rows = {row["hash_consing"]: row for row in result.rows}
+        rows = {row["engine"]: row for row in result.rows}
         trajectory.append(
             {
                 "n": n_records,
-                "subdomains": rows[True]["subdomains"],
-                "naive": {
-                    "build_seconds": rows[False]["build_seconds"],
-                    "logical_hashes": rows[False]["logical_hashes"],
-                    "physical_hashes": rows[False]["physical_hashes"],
+                "subdomains": rows["batched"]["subdomains"],
+                **{
+                    engine: {
+                        "build_seconds": rows[engine]["build_seconds"],
+                        "logical_hashes": rows[engine]["logical_hashes"],
+                        "physical_hashes": rows[engine]["physical_hashes"],
+                    }
+                    for engine in ("naive", "batched")
                 },
-                "hash_consing": {
-                    "build_seconds": rows[True]["build_seconds"],
-                    "logical_hashes": rows[True]["logical_hashes"],
-                    "physical_hashes": rows[True]["physical_hashes"],
-                },
-                "physical_reduction": rows[True]["physical_reduction"],
-                "build_speedup": rows[False]["build_seconds"] / rows[True]["build_seconds"],
+                "physical_reduction": rows["batched"]["physical_reduction"],
+                "build_speedup": (
+                    rows["naive"]["build_seconds"] / rows["batched"]["build_seconds"]
+                ),
                 "engine_stats": result.parameters.get("engine_stats"),
             }
         )
@@ -324,7 +327,7 @@ def run_construction(
     failures: List[str] = []
     if headline["physical_reduction"] < CONSTRUCTION_REDUCTION_FLOOR:
         failures.append(
-            f"shared-structure engine reduced physical hashing only "
+            f"the batched engine reduced physical hashing only "
             f"{headline['physical_reduction']:.2f}x at n={headline['n']} "
             f"(floor {CONSTRUCTION_REDUCTION_FLOOR:.2f}x)"
         )
@@ -384,7 +387,7 @@ def run_smoke(
     construction_reduction = construction.rows[-1]["physical_reduction"]
     if construction_reduction < SMOKE_CONSTRUCTION_REDUCTION_FLOOR:
         failures.append(
-            f"shared-structure physical-hash reduction {construction_reduction:.2f}x "
+            f"batched-engine physical-hash reduction {construction_reduction:.2f}x "
             f"below floor {SMOKE_CONSTRUCTION_REDUCTION_FLOOR:.2f}x at n={construction_n}"
         )
     return results, failures

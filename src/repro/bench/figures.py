@@ -21,6 +21,7 @@ from repro.bench.harness import (
     build_systems,
     queries_with_result_size,
 )
+from repro.core.config import SystemConfig
 from repro.core.owner import SIGNATURE_MESH
 from repro.geometry.engine import IntervalEngine, LPEngine
 from repro.ifmh.ifmh_tree import IFMHTree, MULTI_SIGNATURE, ONE_SIGNATURE
@@ -428,10 +429,8 @@ def ablation_intersection_binding(
         tree = IFMHTree(
             dataset,
             template,
-            mode=ONE_SIGNATURE,
-            signer=None,
+            config=SystemConfig(scheme=ONE_SIGNATURE, bind_intersections=bind),
             counters=counters,
-            bind_intersections=bind,
         )
         elapsed = time.perf_counter() - started
         result.add_row(
@@ -464,9 +463,9 @@ def ablation_mesh_sharing(
         owner = DataOwner(
             dataset,
             template,
-            scheme=SIGNATURE_MESH,
-            signature_algorithm="hmac",
-            share_signatures=share,
+            config=SystemConfig(
+                scheme=SIGNATURE_MESH, signature_algorithm="hmac", share_signatures=share
+            ),
             rng=random.Random(config.seed),
         )
         elapsed = time.perf_counter() - started

@@ -1,23 +1,20 @@
 """Thousand-record-scale construction benchmark (``--scale``).
 
 The paper's construction experiments (Fig. 5a/7a) stop at small ``n``
-because the pure-Python reproduction was bottlenecked first on redundant
-SHA-256 work (removed by the PR 2 shared-structure engine) and then on
-per-node Python overhead (removed by the level-order batched arena build).
-This benchmark sweeps the IFMH construction into the thousands and gates
-the batched engine's wall-clock speedup over the node-at-a-time engine.
+because a per-subdomain pure-Python build is bottlenecked on redundant
+SHA-256 work and per-node Python overhead; the level-order batched forest
+engine removes both.  This benchmark sweeps the IFMH construction into
+the thousands and records its build time and hash counts per ``n``.
 
-``python -m repro.bench --scale`` runs the full sweep (n up to 2000; the
-node-at-a-time comparison is capped at n = 1000, where one naive-engine
-build already takes minutes) and writes ``BENCH_scale.json``;
-``python -m repro.bench --scale --smoke`` runs a reduced-n version of the
-same gate for CI.  All timings are best-of-``repeats`` with a forced
-``gc.collect()`` before every run, so a scheduler hiccup or GC pause on a
-loaded machine cannot flip a gate.
+``python -m repro.bench --scale`` runs the full sweep (n up to 2000) and
+writes ``BENCH_scale.json``; ``python -m repro.bench --scale --smoke``
+runs a reduced-n version for CI.  All timings are best-of-``repeats``
+with a forced ``gc.collect()`` before every run, so a scheduler hiccup or
+GC pause on a loaded machine cannot flip a gate.
 
 Parallel construction points
 ----------------------------
-Two further points gate the multiprocess forest build (PR 10):
+Two further points gate the multiprocess forest build:
 
 * **full-ADS parallel** -- the complete IFMH construction at n = 1000,
   serial vs ``construction_workers`` forked workers, asserted
@@ -60,12 +57,9 @@ from repro.workloads.generator import WorkloadConfig, make_dataset, make_templat
 
 __all__ = [
     "SCALE_N_VALUES",
-    "SCALE_COMPARE_MAX_N",
-    "SCALE_SPEEDUP_FLOOR",
     "SCALE_REPEATS",
     "SCALE_REPORT_FILENAME",
     "SMOKE_SCALE_N_VALUES",
-    "SMOKE_SCALE_SPEEDUP_FLOOR",
     "SMOKE_SCALE_REPORT_FILENAME",
     "PARALLEL_WORKERS",
     "PARALLEL_ADS_N",
@@ -84,13 +78,6 @@ __all__ = [
 
 #: Database sizes of the full ``--scale`` sweep.
 SCALE_N_VALUES = (500, 1000, 2000)
-#: Largest n at which the node-at-a-time engine is also built for the
-#: speedup comparison; beyond it only the batched engine runs (a single
-#: node-at-a-time build at n = 2000 takes tens of minutes).
-SCALE_COMPARE_MAX_N = 1000
-#: Wall-clock construction speedup the batched engine must clear at the
-#: largest compared n (the acceptance gate: >= 3x at n = 1000).
-SCALE_SPEEDUP_FLOOR = 3.0
 #: Best-of-``SCALE_REPEATS`` timing with ``gc.collect()`` between runs.
 SCALE_REPEATS = 3
 #: Where ``python -m repro.bench --scale`` records its trajectory.
@@ -98,7 +85,6 @@ SCALE_REPORT_FILENAME = "BENCH_scale.json"
 
 #: Reduced-n configuration used by ``--scale --smoke`` (CI).
 SMOKE_SCALE_N_VALUES = (120, 240)
-SMOKE_SCALE_SPEEDUP_FLOOR = 1.5
 SMOKE_SCALE_REPORT_FILENAME = "BENCH_scale_smoke.json"
 
 #: Worker count of the full parallel-construction gates.
@@ -159,54 +145,24 @@ def scale_point(
     n_records: int,
     seed: int = 0,
     repeats: int = SCALE_REPEATS,
-    compare: bool = True,
 ) -> Dict[str, object]:
-    """One sweep point: batched engine, optionally vs node-at-a-time.
-
-    When ``compare`` is set, the node-at-a-time engine (PR 2,
-    ``batch_hashing=False``) is built on the same workload and the root
-    hash and logical hash counter are asserted bit-identical -- the
-    speedup must never come from computing something else.
-    """
+    """One sweep point: the batched build's time, hash counts and engine stats."""
     workload = WorkloadConfig(n_records=n_records, dimension=1, seed=seed)
     dataset = make_dataset(workload)
     template = make_template(workload)
 
-    batched_seconds, batched_tree, batched_counters = best_ifmh_build(
-        dataset, template, repeats, hash_consing=True, batch_hashing=True
-    )
+    build_seconds, tree, counters = best_ifmh_build(dataset, template, repeats)
     point: Dict[str, object] = {
         "n": n_records,
-        "subdomains": batched_tree.subdomain_count,
-        "logical_hashes": batched_counters.hash_operations,
+        "subdomains": tree.subdomain_count,
+        "logical_hashes": counters.hash_operations,
         "batched": {
-            "build_seconds": batched_seconds,
-            "physical_hashes": batched_counters.physical_hash_operations,
+            "build_seconds": build_seconds,
+            "physical_hashes": counters.physical_hash_operations,
         },
-        "engine_stats": batched_tree.merkle_engine_stats,
-        "node_engine": None,
-        "speedup": None,
+        "engine_stats": tree.merkle_engine_stats,
     }
-    if compare:
-        batched_root = batched_tree.root_hash
-        del batched_tree
-        node_seconds, node_tree, node_counters = best_ifmh_build(
-            dataset, template, repeats, hash_consing=True, batch_hashing=False
-        )
-        if node_tree.root_hash != batched_root:  # pragma: no cover - correctness guard
-            raise AssertionError("batched engine changed the IFMH root hash")
-        if node_counters.hash_operations != batched_counters.hash_operations:
-            raise AssertionError(  # pragma: no cover - correctness guard
-                "batched engine changed the logical hash count"
-            )
-        point["node_engine"] = {
-            "build_seconds": node_seconds,
-            "physical_hashes": node_counters.physical_hash_operations,
-        }
-        point["speedup"] = node_seconds / batched_seconds
-        del node_tree
-    else:
-        del batched_tree
+    del tree
     gc.collect()
     return point
 
@@ -227,16 +183,9 @@ def parallel_ads_point(
     workload = WorkloadConfig(n_records=n_records, dimension=1, seed=seed)
     dataset = make_dataset(workload)
     template = make_template(workload)
-    serial_seconds, serial_tree, serial_counters = best_ifmh_build(
-        dataset, template, repeats, hash_consing=True, batch_hashing=True
-    )
+    serial_seconds, serial_tree, serial_counters = best_ifmh_build(dataset, template, repeats)
     parallel_seconds, parallel_tree, parallel_counters = best_ifmh_build(
-        dataset,
-        template,
-        repeats,
-        hash_consing=True,
-        batch_hashing=True,
-        construction_workers=workers,
+        dataset, template, repeats, construction_workers=workers
     )
     if parallel_tree.root_hash != serial_tree.root_hash:  # pragma: no cover
         raise AssertionError("parallel construction changed the IFMH root hash")
@@ -381,8 +330,6 @@ def run_scale(
     n_values: Sequence[int] = SCALE_N_VALUES,
     seed: int = 0,
     repeats: int = SCALE_REPEATS,
-    compare_max_n: int = SCALE_COMPARE_MAX_N,
-    speedup_floor: float = SCALE_SPEEDUP_FLOOR,
     output_path: Optional[str] = SCALE_REPORT_FILENAME,
     parallel_workers: int = PARALLEL_WORKERS,
     parallel_ads_n: int = PARALLEL_ADS_N,
@@ -392,22 +339,19 @@ def run_scale(
     parallel_cap: float = PARALLEL_FLOOR_CAP,
     parallel_single_core: float = PARALLEL_SINGLE_CORE_FLOOR,
 ) -> Tuple[List[ExperimentResult], List[str]]:
-    """Sweep the scale benchmark and gate the batched engine's speedup.
+    """Sweep the scale benchmark and gate the parallel build.
 
-    Returns ``(results, failures)``; an empty failure list means the
-    largest compared scale cleared ``speedup_floor`` and both parallel
-    points cleared their affinity-scaled floors.  When ``output_path`` is
-    set the trajectory is written there as JSON.
+    Returns ``(results, failures)``; an empty failure list means both
+    parallel points cleared their affinity-scaled floors.  When
+    ``output_path`` is set the trajectory is written there as JSON.
     """
     result = ExperimentResult(
         experiment_id="scale-construction",
-        title="IFMH construction at scale: node-at-a-time vs level-order batched engine",
-        parameters={"seed": seed, "repeats": repeats, "floor": speedup_floor},
+        title="IFMH construction at scale: level-order batched engine",
+        parameters={"seed": seed, "repeats": repeats},
         columns=(
             "n",
-            "engine",
             "build_seconds",
-            "speedup",
             "logical_hashes",
             "physical_hashes",
             "subdomains",
@@ -415,45 +359,17 @@ def run_scale(
     )
     trajectory: List[Dict[str, object]] = []
     for n_records in n_values:
-        point = scale_point(
-            n_records, seed=seed, repeats=repeats, compare=n_records <= compare_max_n
-        )
+        point = scale_point(n_records, seed=seed, repeats=repeats)
         trajectory.append(point)
-        node = point["node_engine"]
-        if node is not None:
-            result.add_row(
-                n=n_records,
-                engine="node-at-a-time",
-                build_seconds=node["build_seconds"],
-                speedup=1.0,
-                logical_hashes=point["logical_hashes"],
-                physical_hashes=node["physical_hashes"],
-                subdomains=point["subdomains"],
-            )
-        batched = point["batched"]
         result.add_row(
             n=n_records,
-            engine="batched",
-            build_seconds=batched["build_seconds"],
-            speedup=point["speedup"] if point["speedup"] is not None else float("nan"),
+            build_seconds=point["batched"]["build_seconds"],
             logical_hashes=point["logical_hashes"],
-            physical_hashes=batched["physical_hashes"],
+            physical_hashes=point["batched"]["physical_hashes"],
             subdomains=point["subdomains"],
         )
 
-    compared = [point for point in trajectory if point["speedup"] is not None]
     failures: List[str] = []
-    headline: Optional[Dict[str, object]] = None
-    if not compared:
-        failures.append("no sweep point ran the node-at-a-time comparison; nothing to gate")
-    else:
-        headline = compared[-1]
-        if headline["speedup"] < speedup_floor:
-            failures.append(
-                f"batched engine sped construction up only {headline['speedup']:.2f}x "
-                f"at n={headline['n']} (floor {speedup_floor:.2f}x)"
-            )
-
     parallel_floor, effective_workers = parallel_speedup_floor(
         parallel_workers, parallel_per_worker, parallel_cap, parallel_single_core
     )
@@ -515,9 +431,6 @@ def run_scale(
             "benchmark": "ifmh-construction-scale",
             "seed": seed,
             "repeats": repeats,
-            "floor": speedup_floor,
-            "headline_n": headline["n"] if headline else None,
-            "headline_speedup": headline["speedup"] if headline else None,
             "trajectory": trajectory,
             "parallel": {
                 "workers": parallel_workers,
@@ -546,8 +459,6 @@ def run_scale_smoke(
         n_values=SMOKE_SCALE_N_VALUES,
         seed=seed,
         repeats=SCALE_REPEATS,
-        compare_max_n=max(SMOKE_SCALE_N_VALUES),
-        speedup_floor=SMOKE_SCALE_SPEEDUP_FLOOR,
         output_path=output_path,
         parallel_workers=SMOKE_PARALLEL_WORKERS,
         parallel_ads_n=SMOKE_PARALLEL_ADS_N,

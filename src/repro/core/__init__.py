@@ -8,7 +8,7 @@ from repro.core.errors import (
     ReproError,
     VerificationError,
 )
-from repro.core.config import SystemConfig, resolve_config
+from repro.core.config import SystemConfig
 from repro.core.records import Dataset, Record, UtilityTemplate
 from repro.core.queries import AnalyticQuery, KNNQuery, RangeQuery, TopKQuery
 from repro.core.results import QueryResult, VerificationReport
@@ -47,7 +47,6 @@ __all__ = [
     "SCHEMES",
     "SIGNATURE_MESH",
     "SystemConfig",
-    "resolve_config",
     "QueryExecution",
     "Server",
     "Client",

@@ -1,20 +1,13 @@
 """Unified system configuration for the outsourcing pipeline.
 
-Before this module existed, every layer of the build path --
+Every layer of the build path --
 :meth:`repro.core.protocol.OutsourcedSystem.setup`,
 :class:`repro.core.owner.DataOwner`, :class:`repro.ifmh.IFMHTree`,
 :class:`repro.mesh.builder.SignatureMesh` and the benchmark harness --
-re-declared the same sprawl of eight-plus keyword arguments and forwarded
-them by hand.  :class:`SystemConfig` replaces that with one frozen,
-validated object that is threaded through the stack and echoed verbatim
-into published ADS artifacts (:mod:`repro.core.artifact`), so a server
-cold-started from disk knows exactly how its ADS was built.
-
-Every constructor that takes ``config=`` also keeps its legacy keyword
-arguments as a thin shim (see :func:`resolve_config`): passing the old
-kwargs builds a :class:`SystemConfig` behind the scenes, and passing both a
-config and explicit kwargs applies the kwargs as overrides on top of the
-config.  Existing call sites therefore keep working unchanged.
+takes one frozen, validated :class:`SystemConfig` through its ``config=``
+argument.  The same object is echoed verbatim into published ADS artifacts
+(:mod:`repro.core.artifact`), so a server cold-started from disk knows
+exactly how its ADS was built.
 """
 
 from __future__ import annotations
@@ -32,7 +25,6 @@ __all__ = [
     "SCHEMES",
     "BUILD_MODES",
     "SystemConfig",
-    "resolve_config",
 ]
 
 #: The two IFMH scheme names (mirrors :mod:`repro.ifmh.ifmh_tree`; declared
@@ -49,7 +41,13 @@ SCHEMES = (ONE_SIGNATURE, MULTI_SIGNATURE, SIGNATURE_MESH)
 #: Supported I-tree construction strategies (mirrors
 #: :data:`repro.itree.itree.BUILDERS`, declared here to avoid an import
 #: cycle through the geometry stack).
-BUILD_MODES = ("incremental", "bulk", "balanced-incremental", "auto")
+BUILD_MODES = ("incremental", "bulk", "auto")
+
+#: Build flags that older artifact headers echo and this version no longer
+#: has: every IFMH build takes the batched level-order forest path, so
+#: there is nothing left for them to select.  :meth:`SystemConfig.from_dict`
+#: drops them.
+_RETIRED_FIELDS = ("hash_consing", "batch_hashing")
 
 
 @dataclass(frozen=True)
@@ -73,15 +71,6 @@ class SystemConfig:
         IFMH-only: I-tree construction strategy (``"auto"`` uses the
         vectorized bulk build for the univariate interval configuration and
         the paper's incremental insertion otherwise).
-    hash_consing:
-        IFMH-only: route FMH construction through the shared-structure
-        Merkle engine.  Bit-identical either way, only the physical SHA-256
-        work changes.
-    batch_hashing:
-        IFMH-only: level-order batched construction through the array
-        arena.  Requires ``hash_consing``; when ``hash_consing`` is off the
-        flag is normalized to ``False`` (the one place this implication is
-        enforced -- constructors no longer re-derive it).
     tolerance:
         Geometry-engine tolerance.  ``None`` selects the engine's default;
         an explicit value -- **including 0.0** (exact comparisons) -- is
@@ -95,8 +84,6 @@ class SystemConfig:
     bind_intersections: bool = True
     share_signatures: bool = True
     build_mode: str = "auto"
-    hash_consing: bool = True
-    batch_hashing: bool = True
     tolerance: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -116,12 +103,6 @@ class SystemConfig:
             raise ConstructionError(f"key_bits must be positive, got {self.key_bits}")
         if self.tolerance is not None and self.tolerance < 0:
             raise ConstructionError(f"tolerance must be >= 0, got {self.tolerance}")
-        # The one implication of the build flags: batched level-order
-        # hashing runs *inside* the shared-structure engine, so without
-        # hash-consing there is nothing to batch.  Normalized here once so
-        # no constructor needs its own ``batch_hashing and hash_consing``.
-        if self.batch_hashing and not self.hash_consing:
-            object.__setattr__(self, "batch_hashing", False)
 
     # -------------------------------------------------------------- helpers
     @property
@@ -150,7 +131,13 @@ class SystemConfig:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SystemConfig":
-        """Rebuild a config from :meth:`to_dict` output (extra keys rejected)."""
+        """Rebuild a config from :meth:`to_dict` output (extra keys rejected).
+
+        The two retired build flags of older artifact headers are dropped
+        whatever their value: either flag only chose how the forest was
+        hashed, never a root, verification object or verdict.
+        """
+        data = {name: value for name, value in data.items() if name not in _RETIRED_FIELDS}
         known = {field.name for field in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -158,26 +145,3 @@ class SystemConfig:
                 f"unknown SystemConfig fields {sorted(unknown)}; known: {sorted(known)}"
             )
         return cls(**data)
-
-
-def resolve_config(config: Optional[SystemConfig], **overrides: Any) -> SystemConfig:
-    """Merge a ``config=`` argument with legacy keyword arguments.
-
-    ``overrides`` maps field names to explicitly passed legacy kwargs;
-    entries whose value is ``None`` are treated as "not passed" (every
-    legacy kwarg shim defaults to ``None``).  With no config, the overrides
-    are applied on top of the :class:`SystemConfig` defaults; with a
-    config, they are applied on top of that config -- so
-    ``setup(config=cfg, scheme="multi-signature")`` means "cfg, but
-    multi-signature".
-    """
-    given = {name: value for name, value in overrides.items() if value is not None}
-    if config is None:
-        return SystemConfig(**given)
-    if not isinstance(config, SystemConfig):
-        raise ConstructionError(
-            f"config must be a SystemConfig, got {type(config).__name__}"
-        )
-    if not given:
-        return config
-    return config.replace(**given)

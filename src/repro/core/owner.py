@@ -8,11 +8,10 @@ plus the ADS for the cloud server, and publishes the public parameters
 needs in order to verify query results.
 
 Construction is configured by one :class:`repro.core.config.SystemConfig`
-object threaded through every layer; the legacy per-kwarg interface is kept
-as a thin shim on top of it.  :meth:`DataOwner.publish` writes the finished
-ADS to disk as a versioned artifact (:mod:`repro.core.artifact`) from which
-:meth:`repro.core.server.Server.from_artifact` cold-starts without
-rebuilding or re-hashing anything.
+object threaded through every layer.  :meth:`DataOwner.publish` writes the
+finished ADS to disk as a versioned artifact (:mod:`repro.core.artifact`)
+from which :meth:`repro.core.server.Server.from_artifact` cold-starts
+without rebuilding or re-hashing anything.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Union
 
-from repro.core.config import SCHEMES, SIGNATURE_MESH, SystemConfig, resolve_config
+from repro.core.config import SCHEMES, SIGNATURE_MESH, SystemConfig
 from repro.core.errors import ConstructionError, JournalError
 from repro.core.records import Dataset, Record, UtilityTemplate
 from repro.crypto.hashing import HashFunction
@@ -162,39 +161,12 @@ class DataOwner:
     dataset / template:
         The table to outsource and its published utility-function template.
     config:
-        A :class:`repro.core.config.SystemConfig` bundling the scheme and
-        every build switch.  The remaining keyword arguments are the legacy
-        per-field interface: passed without a config they build one; passed
-        *with* a config they override the corresponding fields.
-    scheme:
-        ``"one-signature"``, ``"multi-signature"`` or ``"signature-mesh"``.
-    signature_algorithm:
-        ``"rsa"`` (default), ``"dsa"`` or ``"hmac"`` (test-only).
-    key_bits:
-        Key-size override passed to the signature scheme.
-    bind_intersections:
-        IFMH hardening switch (see :class:`repro.ifmh.IFMHTree`).
-    share_signatures:
-        Mesh-only: enable the shared-signature optimization.
-    build_mode:
-        IFMH-only: I-tree construction strategy (``"auto"`` uses the
-        vectorized bulk build for the univariate interval configuration and
-        the paper's incremental insertion otherwise).
-    hash_consing:
-        IFMH-only: route FMH construction through the shared-structure
-        Merkle engine (interned leaf digests + hash-consed internal nodes).
-        On by default; every hash value and logical counter is bit-identical
-        either way, only the physical SHA-256 work drops.
-    batch_hashing:
-        IFMH-only: advance the shared-structure construction level by
-        level across all subdomain trees at once (array-backed arena +
-        bulk hashing).  On by default; bit-identical to the node-at-a-time
-        engine, only faster.  Requires ``hash_consing``.
-    tolerance:
-        Geometry-engine tolerance (``None`` = engine default; an explicit
-        ``0.0`` is honoured).
+        A :class:`repro.core.config.SystemConfig` bundling the scheme, the
+        signature algorithm and key size, and every build switch (the
+        default one-signature RSA config when omitted).
     engine:
-        Geometry engine override (takes precedence over ``tolerance``).
+        Geometry engine override (takes precedence over
+        ``config.tolerance``).
     rng:
         Seeded random source for reproducible key generation.
     """
@@ -205,15 +177,6 @@ class DataOwner:
         template: UtilityTemplate,
         *,
         config: Optional[SystemConfig] = None,
-        scheme: Optional[str] = None,
-        signature_algorithm: Optional[str] = None,
-        key_bits: Optional[int] = None,
-        bind_intersections: Optional[bool] = None,
-        share_signatures: Optional[bool] = None,
-        build_mode: Optional[str] = None,
-        hash_consing: Optional[bool] = None,
-        batch_hashing: Optional[bool] = None,
-        tolerance: Optional[float] = None,
         engine: Optional[SplitEngine] = None,
         rng: Optional[random.Random] = None,
         counters: Optional[Counters] = None,
@@ -221,18 +184,8 @@ class DataOwner:
         construction_workers: Optional[int] = None,
         epoch: int = 0,
     ):
-        config = resolve_config(
-            config,
-            scheme=scheme,
-            signature_algorithm=signature_algorithm,
-            key_bits=key_bits,
-            bind_intersections=bind_intersections,
-            share_signatures=share_signatures,
-            build_mode=build_mode,
-            hash_consing=hash_consing,
-            batch_hashing=batch_hashing,
-            tolerance=tolerance,
-        )
+        if config is None:
+            config = SystemConfig()
         self.config = config
         self.dataset = dataset
         self.template = template

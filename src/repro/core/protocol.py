@@ -4,7 +4,9 @@
 together for the common case (one owner, one server, one verifying user) so
 examples, tests and benchmarks can run the whole pipeline in two lines:
 
->>> system = OutsourcedSystem.setup(dataset, template, scheme="one-signature")
+>>> system = OutsourcedSystem.setup(
+...     dataset, template, config=SystemConfig(scheme="one-signature")
+... )
 >>> execution, report = system.query_and_verify(TopKQuery(weights=(0.5,), k=3))
 """
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.client import Client
-from repro.core.config import SystemConfig, resolve_config
+from repro.core.config import SystemConfig
 from repro.core.owner import DataOwner
 from repro.core.queries import AnalyticQuery
 from repro.core.records import Dataset, UtilityTemplate
@@ -47,40 +49,17 @@ class OutsourcedSystem:
         template: UtilityTemplate,
         *,
         config: Optional[SystemConfig] = None,
-        scheme: Optional[str] = None,
-        signature_algorithm: Optional[str] = None,
-        key_bits: Optional[int] = None,
-        bind_intersections: Optional[bool] = None,
-        share_signatures: Optional[bool] = None,
-        build_mode: Optional[str] = None,
-        hash_consing: Optional[bool] = None,
-        batch_hashing: Optional[bool] = None,
-        tolerance: Optional[float] = None,
         engine: Optional[SplitEngine] = None,
         rng: Optional[random.Random] = None,
     ) -> "OutsourcedSystem":
         """Build the owner's ADS, hand it to a server and create a client.
 
         Configuration is one :class:`~repro.core.config.SystemConfig`
-        threaded through every layer; the individual keyword arguments
-        remain as a shim (without ``config`` they build one, with
-        ``config`` they override its fields).  ``tolerance`` reaches the
-        geometry engine through the config, so exact comparisons
-        (``tolerance=0.0``) no longer require hand-building a
+        threaded through every layer (the default one when omitted).  Its
+        ``tolerance`` reaches the geometry engine, so exact comparisons
+        (``tolerance=0.0``) need no hand-built
         :class:`~repro.geometry.engine.SplitEngine`.
         """
-        config = resolve_config(
-            config,
-            scheme=scheme,
-            signature_algorithm=signature_algorithm,
-            key_bits=key_bits,
-            bind_intersections=bind_intersections,
-            share_signatures=share_signatures,
-            build_mode=build_mode,
-            hash_consing=hash_consing,
-            batch_hashing=batch_hashing,
-            tolerance=tolerance,
-        )
         owner = DataOwner(dataset, template, config=config, engine=engine, rng=rng)
         server = Server(owner.outsource())
         client = Client(owner.public_parameters())

@@ -8,8 +8,6 @@ has no external crypto dependency:
 
 * :mod:`repro.crypto.hashing` -- SHA-256 digests with operation counting
   (split into logical operations and physical invocations).
-* :mod:`repro.crypto.intern_pool` -- the leaf-digest intern pool used by the
-  shared-structure Merkle construction engine.
 * :mod:`repro.crypto.primes` -- Miller-Rabin primality testing and prime
   generation used by the key generators.
 * :mod:`repro.crypto.rsa` -- RSA key generation, PKCS#1-v1.5 style signing.
@@ -23,7 +21,6 @@ has no external crypto dependency:
 """
 
 from repro.crypto.hashing import HashFunction, sha256_hex, sha256, sha256_many
-from repro.crypto.intern_pool import LeafDigestPool
 from repro.crypto.primes import is_probable_prime, generate_prime
 from repro.crypto.rsa import RSAKeyPair, RSAPublicKey, RSAPrivateKey, generate_rsa_keypair
 from repro.crypto.dsa import DSAKeyPair, DSAPublicKey, DSAPrivateKey, DSAParameters, generate_dsa_keypair
@@ -46,7 +43,6 @@ from repro.crypto.serialization import (
 
 __all__ = [
     "HashFunction",
-    "LeafDigestPool",
     "sha256_hex",
     "sha256",
     "sha256_many",

@@ -1,17 +1,20 @@
 """IFMH-tree construction (paper section 3.1, steps 1-4).
 
 Step 1 builds the I-tree (delegated to :class:`repro.itree.ITree`); step 2
-builds one FMH-tree per subdomain over its sorted record list; step 3
-propagates hashes bottom-up through the intersection nodes; step 4 signs the
-structure, either once at the root (*one-signature*) or once per subdomain
-(*multi-signature*).
+builds one FMH-tree per subdomain over its sorted record list -- all of them
+at once, level by level, through
+:class:`repro.merkle.engine.MerkleBuildEngine`; step 3 propagates hashes
+bottom-up through the intersection nodes; step 4 signs the structure,
+either once at the root (*one-signature*) or once per subdomain
+(*multi-signature*).  :func:`repro.reference.naive_ifmh_tree` builds the
+same tree one subdomain at a time, as the reference tests compare against.
 
 Hardening note: the paper computes an intersection node's hash as
 ``H(a.h | b.h)``.  That does not bind *which* intersection the node stores,
 so a malicious server could present a search path with altered branch
 conditions.  By default this implementation binds the intersection
-hyperplane into the hash (``H(enc(I_ij) | a.h | b.h)``); pass
-``bind_intersections=False`` to get the exact paper behaviour (exercised by
+hyperplane into the hash (``H(enc(I_ij) | a.h | b.h)``); a config with
+``bind_intersections=False`` gets the exact paper behaviour (exercised by
 tests and an ablation benchmark).
 """
 
@@ -21,12 +24,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.core.config import (
-    MULTI_SIGNATURE,
-    ONE_SIGNATURE,
-    SystemConfig,
-    resolve_config,
-)
+from repro.core.config import MULTI_SIGNATURE, ONE_SIGNATURE, SystemConfig
 from repro.core.errors import ConstructionError
 from repro.core.parallel import resolve_worker_count
 from repro.core.records import Dataset, Record, UtilityTemplate
@@ -36,7 +34,7 @@ from repro.geometry.engine import SplitEngine
 from repro.itree.itree import ITree, SearchTrace, encode_tree_arrays
 from repro.itree.nodes import ITreeNode
 from repro.itree.permutation import PermutedView
-from repro.merkle.arena import ArenaMerkleTree, MerkleArena, arena_from_level_trees
+from repro.merkle.arena import ArenaMerkleTree, MerkleArena
 from repro.merkle.engine import MerkleBuildEngine
 from repro.merkle.fmh_tree import FMHTree, MAX_TOKEN, MIN_TOKEN
 from repro.metrics.counters import Counters
@@ -58,8 +56,17 @@ class IFMHTree:
         The outsourced table and its utility-function template; every record
         is interpreted as a linear score function over the template's weight
         domain.
-    mode:
-        ``"one-signature"`` or ``"multi-signature"``.
+    config:
+        The build configuration (:class:`SystemConfig`; the default one when
+        omitted).  Its ``scheme`` must be ``"one-signature"`` or
+        ``"multi-signature"``; ``bind_intersections`` binds each
+        intersection's identity into its node hash (hardened default;
+        ``False`` reproduces the paper's exact hash rule), and
+        ``build_mode`` picks the I-tree construction strategy (see
+        :data:`repro.itree.itree.BUILDERS`): ``"auto"`` takes the vectorized
+        balanced bulk build for the univariate interval configuration and
+        the paper's incremental insertion elsewhere (d >= 2, custom
+        engines).
     signer:
         The data owner's signing key (any :class:`repro.crypto.Signer`).
     hash_function:
@@ -70,34 +77,6 @@ class IFMHTree:
         template's dimension).
     counters:
         Owner-side counters (signatures created, hash operations).
-    bind_intersections:
-        Bind each intersection's identity into its node hash (hardened
-        default); ``False`` reproduces the paper's exact hash rule.
-    build_mode:
-        I-tree construction strategy (see :data:`repro.itree.itree.BUILDERS`).
-        The default ``"auto"`` picks the vectorized balanced bulk build for
-        the univariate interval configuration and falls back to the paper's
-        incremental insertion elsewhere (d >= 2, custom engines).
-    hash_consing:
-        Route step 2 through the shared-structure Merkle construction
-        engine (:class:`repro.merkle.engine.MerkleBuildEngine`): record
-        leaf digests are interned once per dataset and internal FMH nodes
-        are hash-consed across subdomains, collapsing the Theta(n^3)
-        physical SHA-256 work of the 1-D configuration toward
-        Theta(n^2 log n).  Every hash value, proof and counter-reported
-        *logical* hash count is bit-identical either way; pass ``False``
-        to force the naive per-subdomain hashing (ablations, property
-        tests).
-    batch_hashing:
-        Advance the shared-structure construction level by level across
-        *all* subdomain trees at once, with the forest stored in a flat
-        array arena (:mod:`repro.merkle.arena`) and each level's uncached
-        parent preimages hashed in one bulk pass.  This removes the
-        per-node Python overhead that dominates thousand-record builds;
-        roots, proofs, verdicts and both hash counters stay bit-identical
-        to the node-at-a-time engine.  Requires ``hash_consing`` (ignored
-        otherwise); pass ``False`` to force the PR 2 node-at-a-time engine
-        (ablations, property tests).
     construction_workers:
         Shard the batched forest build across this many forked worker
         processes (``0`` means every available core, ``None``/``1`` stays
@@ -113,30 +92,15 @@ class IFMHTree:
         template: UtilityTemplate,
         *,
         config: Optional[SystemConfig] = None,
-        mode: Optional[str] = None,
         signer: Optional[Signer] = None,
         hash_function: Optional[HashFunction] = None,
         engine: Optional[SplitEngine] = None,
         counters: Optional[Counters] = None,
-        bind_intersections: Optional[bool] = None,
-        build_mode: Optional[str] = None,
-        hash_consing: Optional[bool] = None,
-        batch_hashing: Optional[bool] = None,
         construction_workers: Optional[int] = None,
         epoch: int = 0,
     ):
-        if mode is not None and mode not in (ONE_SIGNATURE, MULTI_SIGNATURE):
-            raise ConstructionError(
-                f"unknown IFMH mode {mode!r}; expected {ONE_SIGNATURE!r} or {MULTI_SIGNATURE!r}"
-            )
-        config = resolve_config(
-            config,
-            scheme=mode,
-            bind_intersections=bind_intersections,
-            build_mode=build_mode,
-            hash_consing=hash_consing,
-            batch_hashing=batch_hashing,
-        )
+        if config is None:
+            config = SystemConfig()
         if not config.is_ifmh:
             raise ConstructionError(
                 f"unknown IFMH mode {config.scheme!r}; expected "
@@ -157,20 +121,15 @@ class IFMHTree:
         workers = (
             1 if construction_workers is None else resolve_worker_count(construction_workers)
         )
-        engine = (
-            MerkleBuildEngine(batched=self.batch_hashing, workers=workers)
-            if self.hash_consing
-            else None
-        )
-        self._attach_fmh_trees(engine)
+        merkle_engine = MerkleBuildEngine(workers=workers)
+        self._attach_fmh_trees(merkle_engine)
         self._propagate_hashes()
         #: Hit/size statistics of the construction engine's tables (``None``
-        #: without hash-consing).  Only the snapshot survives: the tables
-        #: themselves are Theta(n^2 log n) and useless after construction,
-        #: so they are dropped with the engine when this method returns.
-        self.merkle_engine_stats: Optional[Dict[str, int]] = (
-            engine.stats() if engine is not None else None
-        )
+        #: on trees that were loaded or updated rather than built).  Only
+        #: the snapshot survives: the tables themselves are Theta(n^2 log n)
+        #: and useless after construction, so they are dropped with the
+        #: engine when this method returns.
+        self.merkle_engine_stats: Optional[Dict[str, int]] = merkle_engine.stats()
         self.root_signature: Optional[bytes] = None
         if signer is not None:
             self._sign(signer)
@@ -198,8 +157,6 @@ class IFMHTree:
         self.counters = counters or Counters()
         self.hash_function = hash_function or HashFunction(self.counters)
         self.signer = signer
-        self.hash_consing = config.hash_consing
-        self.batch_hashing = config.batch_hashing
         #: ADS epoch: 0 for an initial build, bumped by every applied update
         #: batch and bound into all signed messages from epoch 1 on.
         self.epoch = int(epoch)
@@ -224,34 +181,17 @@ class IFMHTree:
             self.records_by_id[record.record_id] = record
 
     # ------------------------------------------------------------- step 2
-    def _attach_fmh_trees(self, engine: Optional[MerkleBuildEngine]) -> None:
+    def _attach_fmh_trees(self, engine: MerkleBuildEngine) -> None:
         """Build one FMH-tree per subdomain leaf over its sorted record list.
-
-        With hash-consing enabled every tree shares the construction
-        engine's tables, so only structure not seen in any earlier
-        subdomain is physically hashed; the batched engine additionally
-        advances all trees level by level through the array arena instead
-        of walking them one node at a time.
-        """
-        if engine is not None and engine.batched and self.itree.shared_order is not None:
-            self._attach_fmh_trees_batched(engine)
-            return
-        records_by_id = self.records_by_id
-        hash_function = self.hash_function
-        for leaf in self.itree.leaves():
-            sorted_records = [records_by_id[f.index] for f in leaf.sorted_functions]
-            leaf.fmh_tree = FMHTree(sorted_records, hash_function=hash_function, engine=engine)
-            leaf.hash_value = leaf.fmh_tree.root
-
-    def _attach_fmh_trees_batched(self, engine: MerkleBuildEngine) -> None:
-        """Level-order batched step 2 over the shared permutation array.
 
         Every subdomain's FMH-tree covers the same ``n + 2`` leaves
         (``f_min``, the n records in that subdomain's order, ``f_max``), so
         the whole forest is one integer matrix: row ``t`` holds leaf ``t``'s
         arena leaf indices, assembled by fancy-indexing the I-tree's shared
         permutation array.  The engine advances all rows one level at a
-        time and hashes each level's new preimages in one bulk pass.
+        time and hashes each level's new preimages in one bulk pass, so
+        only structure not seen in any earlier subdomain is physically
+        hashed.
         """
         shared = self.itree.shared_order
         hash_function = self.hash_function
@@ -307,10 +247,10 @@ class IFMHTree:
     def _propagate_hashes(self) -> None:
         """Compute intersection-node hashes bottom-up (paper step 3).
 
-        Bulk-built trees with a batched forest take the level-wise array
-        propagation (:func:`repro.ifmh.propagation.propagate_batched`);
-        everything else falls back to the paper's per-node stack walk.
-        Digests and both hash counters are bit-identical either way.
+        Bulk-built trees take the level-wise array propagation
+        (:func:`repro.ifmh.propagation.propagate_batched`); other tree
+        shapes (the incremental builder) take the paper's per-node stack
+        walk.  Digests and both hash counters are bit-identical either way.
         """
         from repro.ifmh.propagation import propagate_batched
 
@@ -382,10 +322,7 @@ class IFMHTree:
         (:func:`repro.itree.itree.encode_tree_arrays`), the FMH forest in
         arena form (``arena_*`` plus one root index per subdomain, in
         subdomain order), every intersection node's hash (pre-order) and --
-        in multi-signature mode -- the per-subdomain signatures.  Builds
-        that did not go through the batched engine are re-encoded into an
-        equivalent arena by value, without hashing anything
-        (:func:`repro.merkle.arena.arena_from_level_trees`).
+        in multi-signature mode -- the per-subdomain signatures.
 
         A deferred update (:meth:`from_update`) is written straight from
         the arrays the update built: no node skeleton, no leaf
@@ -397,18 +334,12 @@ class IFMHTree:
         if payload is not None:
             return self._deferred_arrays(payload[0])
         leaves = list(self._materialized_leaves())
-        first_tree = leaves[0].fmh_tree.tree
-        if isinstance(first_tree, ArenaMerkleTree):
-            arena = first_tree.arena
-            root_indices = np.fromiter(
-                (leaf.fmh_tree.tree.root_index for leaf in leaves),
-                dtype=np.int64,
-                count=len(leaves),
-            )
-        else:
-            arena, root_indices = arena_from_level_trees(
-                [leaf.fmh_tree.tree for leaf in leaves]
-            )
+        arena = leaves[0].fmh_tree.tree.arena
+        root_indices = np.fromiter(
+            (leaf.fmh_tree.tree.root_index for leaf in leaves),
+            dtype=np.int64,
+            count=len(leaves),
+        )
         intersection_hashes = [
             node.hash_value for node in self.itree.root.iter_subtree() if node.is_intersection
         ]

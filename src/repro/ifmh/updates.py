@@ -53,10 +53,10 @@ final state matches a fresh build of the final dataset); signing happens
 once, at the batch's new epoch.
 
 The incremental path covers the paper-scale configuration: univariate
-templates under the interval engine, bulk-built (balanced) trees, batched
-hashing.  Everything else -- d >= 2 under the LP engine, the incremental
-ablation builders, ``batch_hashing=False`` -- falls back to a full rebuild
-behind the same :meth:`repro.core.owner.DataOwner.apply_updates` API.
+templates under the interval engine, bulk-built (balanced) trees.
+Everything else -- d >= 2 under the LP engine, the incremental I-tree
+builder -- falls back to a full rebuild behind the same
+:meth:`repro.core.owner.DataOwner.apply_updates` API.
 """
 
 from __future__ import annotations
@@ -549,8 +549,6 @@ def apply_incremental_update(
     if (inserted is None) == (deleted_id is None):
         raise ConstructionError("pass exactly one of inserted / deleted_id")
     if tree.template.dimension != 1:
-        return None
-    if not tree.batch_hashing:
         return None
     engine = tree.config.make_engine(tree.template.domain)
     if not isinstance(engine, IntervalEngine):

@@ -7,8 +7,8 @@ Two construction paths are available:
   inserted with a breadth-first walk from the root; subdomain nodes whose
   region it cuts are converted into intersection nodes, and intersection
   nodes whose region it cuts forward the insertion to both children.  It
-  works for any dimension and is kept as the reference implementation (and
-  for ablations).
+  works for any dimension and builds the paper's tree shape (the figures
+  use it).
 
 * The **bulk** path (univariate configuration only) computes all pairwise
   breakpoints in one vectorized numpy pass, sorts them once, and assembles a
@@ -16,8 +16,9 @@ Two construction paths are available:
   ``splits()`` engine calls.  The resulting partition is identical to the
   incremental path's; the tree *shape* is the balanced one, which equals
   what the incremental insertion would produce when fed the same hyperplanes
-  in median-first order (the ``"balanced-incremental"`` builder, used by the
-  property tests to check bit-identical structure and hashes).
+  in median-first order
+  (:func:`repro.reference.balanced_incremental_itree`, which the property
+  tests check bit-identical structure and hashes against).
 
 After construction, every leaf's functions are sorted at an interior witness
 point -- vectorized over all leaves at once on the bulk path.
@@ -49,7 +50,7 @@ from repro.metrics.counters import Counters
 __all__ = ["ITree", "SearchStep", "SearchTrace", "BulkPlanState", "BUILDERS"]
 
 #: Supported construction strategies (``"auto"`` resolves to one of the rest).
-BUILDERS = ("incremental", "bulk", "balanced-incremental", "auto")
+BUILDERS = ("incremental", "bulk", "auto")
 
 #: Leaves scored per vectorized chunk when finalizing a bulk-built tree
 #: (bounds peak memory to ``chunk * n_functions`` floats).
@@ -177,7 +178,7 @@ class ITree:
         self.counters = counters or Counters()
         if builder == "auto":
             builder = "bulk" if self._bulk_supported() else "incremental"
-        elif builder in ("bulk", "balanced-incremental") and not self._bulk_supported():
+        elif builder == "bulk" and not self._bulk_supported():
             raise ConstructionError(
                 f"the {builder!r} builder requires a 1-D domain and an IntervalEngine"
             )
@@ -201,10 +202,6 @@ class ITree:
         self._node_count: Optional[int] = None
         if builder == "bulk":
             self._bulk_build()
-        elif builder == "balanced-incremental":
-            _, hyperplanes = self._bulk_plan()
-            order = _median_first_order(len(hyperplanes))
-            self._build([hyperplanes[k] for k in order])
         else:
             self._build(pairwise_hyperplanes(self.functions))
 
@@ -875,23 +872,3 @@ def _decode_permutation(arrays: dict) -> np.ndarray:
         if start != stop:
             current[columns[start:stop]] = values[start:stop]
     return permutation
-
-
-def _median_first_order(count: int) -> list[int]:
-    """Indices ``0..count-1`` in the insertion order that yields a balanced BST.
-
-    Each range contributes its median before either half, so every ancestor
-    precedes its descendants -- inserting sorted breakpoints in this order
-    through the incremental BFS reproduces the bulk-built balanced tree.
-    """
-    order: list[int] = []
-    stack = [(0, count)]
-    while stack:
-        low, high = stack.pop()
-        if low >= high:
-            continue
-        mid = (low + high) // 2
-        order.append(mid)
-        stack.append((mid + 1, high))
-        stack.append((low, mid))
-    return order

@@ -44,9 +44,9 @@ class ITreeNode:
     #: (the paper's "0 / invalid" default).
     hash_value: Optional[bytes] = None
     #: FMH-tree attached to subdomain nodes by the IFMH construction (step 2).
-    #: Neighbouring subdomains' trees share leaf digests and hash-consed
-    #: internal nodes when built through the shared-structure engine, but
-    #: each leaf still owns an independent ``FMHTree`` view of its list.
+    #: Neighbouring subdomains' trees share leaf digests and internal nodes
+    #: in the construction engine's arena, but each leaf still owns an
+    #: independent ``FMHTree`` view of its list.
     fmh_tree: Optional["FMHTree"] = None
     #: Lazily cached ``(coefficient_matrix, constant_vector)`` numpy pair over
     #: the sorted functions, filled by :meth:`repro.ifmh.IFMHTree.leaf_scores`

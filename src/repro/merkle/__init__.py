@@ -5,9 +5,9 @@
 * :mod:`repro.merkle.fmh_tree` -- the Function Merkle Hash tree (FMH-tree):
   a Merkle tree over a subdomain's sorted function list bracketed by the
   ``f_min`` / ``f_max`` boundary tokens.
-* :mod:`repro.merkle.engine` -- the shared-structure construction engine
-  (leaf-digest intern pool + hash-consed internal-node cache) that collapses
-  the redundant hashing across the per-subdomain FMH-trees.
+* :mod:`repro.merkle.engine` -- the construction engine that builds every
+  subdomain's FMH-tree at once and collapses the redundant hashing across
+  them.
 * :mod:`repro.merkle.arena` -- the array-backed forest arena and the
   level-order batched construction path (bulk hashing across all subdomain
   trees at once, lazy per-tree views).

@@ -4,10 +4,10 @@ The IFMH construction (paper section 3.1, step 2) builds one FMH-tree per
 subdomain, and every one of those trees has the *same shape*: each
 subdomain's sorted list holds all ``n`` records bracketed by the two
 boundary tokens, so every tree is a Merkle tree over exactly ``n + 2``
-leaves.  PR 2's node-at-a-time engine already eliminated the redundant
-SHA-256 work; at thousand-record scale the remaining cost is pure Python
-per-node overhead -- one method call, one tuple key and one dict probe per
-logical node, times Theta(n^3) logical nodes.
+leaves.  Sharing nodes between those trees removes the redundant SHA-256
+work, but a tree-at-a-time build still pays Python per-node overhead --
+one method call, one tuple key and one dict probe per logical node, times
+Theta(n^3) logical nodes.
 
 This module removes that overhead with two pieces:
 
@@ -28,9 +28,9 @@ This module removes that overhead with two pieces:
   (:func:`repro.crypto.hashing.sha256_many`) over a contiguous preimage
   buffer.
 
-Counting semantics are identical to the node-at-a-time engine: every pair
-slot of every level of every tree is one *logical* hash operation (what
-Fig. 5a/7a report), while only the first occurrence of a ``(left, right)``
+Counting semantics: every pair slot of every level of every tree is one
+*logical* hash operation (what Fig. 5a/7a report), exactly as in a
+per-tree build, while only the first occurrence of a ``(left, right)``
 digest pair costs a *physical* SHA-256 invocation.  Roots, levels, proofs
 and counters are bit-for-bit the values the per-tree
 :class:`~repro.merkle.mh_tree.MerkleTree` build produces.
@@ -57,7 +57,6 @@ __all__ = [
     "ArenaMerkleTree",
     "ForestHasher",
     "DeltaForestHasher",
-    "arena_from_level_trees",
 ]
 
 #: 8-byte big-endian length prefix of one digest, replicating the
@@ -380,7 +379,7 @@ class ForestHasher:
     def __init__(self, workers: int = 1) -> None:
         self._store = _NodeStore()
         #: ``digest -> node index`` for leaf digests, so equal-valued leaves
-        #: share one node exactly like the value-keyed node cache would.
+        #: share one node and pair identity by index is identity by value.
         self._digest_index: Dict[bytes, int] = {}
         #: ``(left_index << 32) | right_index -> parent index``.
         self._pair_cache: Dict[int, int] = {}
@@ -403,10 +402,9 @@ class ForestHasher:
     def intern_leaves(self, payloads: Sequence[bytes], hash_function: HashFunction) -> np.ndarray:
         """Digest and intern leaf preimages; return their node indices.
 
-        Every payload is physically hashed exactly once (one bulk pass),
-        matching the per-object accounting of the node-at-a-time engine's
-        leaf pool; payloads whose digests collide in value share one arena
-        node so that pair consing stays value-exact.
+        Every payload is physically hashed exactly once (one bulk pass);
+        payloads whose digests collide in value share one arena node so
+        that pair consing stays value-exact.
         """
         if self._arena is not None:
             raise RuntimeError("the forest has been finalized; no more leaves can be interned")
@@ -501,7 +499,7 @@ class ForestHasher:
         return self._arena
 
     def stats(self) -> Dict[str, int]:
-        """Table sizes and hit rates, in the node-at-a-time engine's shape."""
+        """Interned leaves, leaf-pool hits and distinct internal nodes."""
         return {
             "leaf_pool_entries": self._interned_payloads,
             "leaf_pool_hits": self._leaf_requests - self._interned_payloads,
@@ -830,66 +828,3 @@ class DeltaForestHasher:
         else:
             hash_function.note_cached(pair_keys.shape[0])
         return parents
-
-def arena_from_level_trees(trees: Sequence[MerkleTree]) -> tuple[MerkleArena, np.ndarray]:
-    """Re-encode materialized Merkle trees into one shared arena (no hashing).
-
-    The artifact writer (:mod:`repro.core.artifact`) always publishes the
-    FMH forest in arena form.  Builds that went through the batched engine
-    already live in an arena; builds with ``batch_hashing=False`` (or
-    ``hash_consing=False``) hold ordinary per-subdomain
-    :class:`~repro.merkle.mh_tree.MerkleTree` objects, which this function
-    folds into an equivalent arena purely by value: leaves are interned by
-    digest, internal nodes by their ``(left, right)`` child indices --
-    exactly the sharing rule of :class:`ForestHasher` -- so no SHA-256 runs
-    and the per-tree levels reconstructed from the arena are bit-identical
-    to the originals.
-
-    Returns ``(arena, root_indices)`` with one root index per input tree.
-    """
-    digests: List[bytes] = []
-    left: List[int] = []
-    right: List[int] = []
-    digest_index: Dict[bytes, int] = {}
-    pair_index: Dict[tuple[int, int], int] = {}
-    roots = np.empty(len(trees), dtype=np.int64)
-    for position, tree in enumerate(trees):
-        levels = tree.levels
-        below: List[int] = []
-        for digest in levels[0]:
-            index = digest_index.get(digest)
-            if index is None:
-                index = len(digests)
-                digests.append(digest)
-                left.append(-1)
-                right.append(-1)
-                digest_index[digest] = index
-            below.append(index)
-        for level in levels[1:]:
-            current: List[int] = []
-            for slot, digest in enumerate(level):
-                first = 2 * slot
-                if first + 1 < len(below):
-                    key = (below[first], below[first + 1])
-                    index = pair_index.get(key)
-                    if index is None:
-                        index = len(digests)
-                        digests.append(digest)
-                        left.append(key[0])
-                        right.append(key[1])
-                        pair_index[key] = index
-                    current.append(index)
-                else:
-                    # Odd-node carry: same node, one level up.
-                    current.append(below[first])
-            below = current
-        roots[position] = below[0]
-    digest_matrix = np.frombuffer(b"".join(digests), dtype=np.uint8).reshape(
-        len(digests), DIGEST_SIZE
-    )
-    arena = MerkleArena(
-        digests=digest_matrix,
-        left=np.asarray(left, dtype=np.int64),
-        right=np.asarray(right, dtype=np.int64),
-    )
-    return arena, roots

@@ -4,117 +4,62 @@ The IFMH construction (paper section 3.1, step 2) builds one FMH-tree per
 subdomain.  Adjacent subdomains of the 1-D arrangement differ by a single
 adjacent transposition of the sorted record list, so their Merkle trees
 share almost every node; across the whole sweep only Theta(n^2 log n) of
-the Theta(n^3) internal nodes are distinct.  The engine exploits that shared
-structure in one of two modes:
+the Theta(n^3) internal nodes are distinct.
 
-* **node-at-a-time** (the PR 2 engine): a
-  :class:`~repro.crypto.intern_pool.LeafDigestPool` interning each record's
-  canonical bytes and leaf digest, plus a hash-consed internal-node cache
-  keyed on ``(left_digest, right_digest)`` that
-  :class:`~repro.merkle.mh_tree.MerkleTree` consults for every two-child
-  combine.  Each tree is still walked node by node in Python.
+The engine advances the whole forest one level at a time through the
+array-backed :class:`~repro.merkle.arena.ForestHasher`: every record's leaf
+digest is computed once, all uncached parent preimages of a level, across
+*all* subdomain trees, are gathered into a contiguous buffer and hashed in
+one bulk pass (:func:`repro.crypto.hashing.sha256_many`), and the resulting
+forest lives in a flat :class:`~repro.merkle.arena.MerkleArena` that
+per-tree lazy views share.
 
-* **batched level-order** (``batched=True``): the whole forest is advanced
-  one level at a time through the array-backed
-  :class:`~repro.merkle.arena.ForestHasher` -- all uncached parent
-  preimages of a level, across *all* subdomain trees, are gathered into a
-  contiguous buffer and hashed in one bulk pass
-  (:func:`repro.crypto.hashing.sha256_many`), and the resulting forest
-  lives in a flat :class:`~repro.merkle.arena.MerkleArena` that per-tree
-  lazy views share.
-
-Either mode changes *which* hashes physically run, never their values:
-every root, proof and verification result is bit-identical with or without
-it, and the logical hash counters (what the paper's figures report) are
-unchanged because cache hits are counted as performed operations (see
-:mod:`repro.crypto.hashing`).
+This changes *which* hashes physically run, never their values: every
+root, proof and verification result is bit-identical to building each
+subdomain's :class:`~repro.merkle.fmh_tree.FMHTree` on its own (the
+reference in :mod:`repro.reference`), and the logical hash counters (what
+the paper's figures report) are unchanged because cache hits are counted as
+performed operations (see :mod:`repro.crypto.hashing`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
 from repro.crypto.hashing import HashFunction
-from repro.crypto.intern_pool import LeafDigestPool
 from repro.merkle.arena import ForestHasher, MerkleArena
 
 __all__ = ["MerkleBuildEngine"]
 
 
 class MerkleBuildEngine:
-    """Leaf intern pool plus hash-consed internal-node tables.
+    """The level-order forest builder of one ADS construction.
 
-    One engine instance is created per ADS construction and threaded
-    through every :class:`~repro.merkle.fmh_tree.FMHTree` built for it; the
-    tables are shared so structure discovered while building one subdomain's
-    tree is reused by every later subdomain.  With ``batched=True`` the
-    engine additionally carries the level-order forest builder used by the
-    batched IFMH step-2 path.
+    ``workers`` shards the forest build across forked processes; output is
+    bit-identical at any worker count (a runtime knob, not config).
     """
 
-    __slots__ = ("leaf_pool", "node_cache", "forest")
+    __slots__ = ("forest",)
 
-    def __init__(self, batched: bool = False, workers: int = 1) -> None:
-        self.leaf_pool = LeafDigestPool()
-        #: ``(left_digest, right_digest) -> parent_digest``; keys are full
-        #: 32-byte SHA-256 digests, so (absent collisions) consing is exact.
-        self.node_cache: Dict[Tuple[bytes, bytes], bytes] = {}
-        #: Level-order batched builder (``None`` in node-at-a-time mode).
-        #: ``workers`` shards its build across forked processes; output is
-        #: bit-identical at any worker count (a runtime knob, not config).
-        self.forest = ForestHasher(workers=workers) if batched else None
+    def __init__(self, workers: int = 1) -> None:
+        self.forest = ForestHasher(workers=workers)
 
-    @property
-    def batched(self) -> bool:
-        """Whether this engine builds through the level-order forest path."""
-        return self.forest is not None
-
-    # ------------------------------------------------------------------ API
-    def leaf_digest(self, item: object, hash_function: HashFunction) -> bytes:
-        """Interned leaf digest of an item (see :class:`LeafDigestPool`)."""
-        return self.leaf_pool.item_digest(item, hash_function)
-
-    def token_digest(self, token: bytes, hash_function: HashFunction) -> bytes:
-        """Interned digest of a boundary token, computed exactly once."""
-        return self.leaf_pool.token_digest(token, hash_function)
-
-    # ------------------------------------------------------- batched mode
     def intern_leaf_batch(
         self, payloads: Sequence[bytes], hash_function: HashFunction
     ) -> np.ndarray:
-        """Bulk-digest leaf preimages into the forest arena (batched mode)."""
-        if self.forest is None:
-            raise RuntimeError("intern_leaf_batch requires a batched engine")
+        """Bulk-digest leaf preimages into the forest arena."""
         return self.forest.intern_leaves(payloads, hash_function)
 
     def build_forest(self, leaf_matrix: np.ndarray, hash_function: HashFunction) -> np.ndarray:
-        """Level-order batched build of every tree (batched mode)."""
-        if self.forest is None:
-            raise RuntimeError("build_forest requires a batched engine")
+        """Level-order batched build of every tree; per-tree root indices."""
         return self.forest.build_forest(leaf_matrix, hash_function)
 
     def finalize_arena(self) -> MerkleArena:
         """Freeze the forest's node store into the shared arena."""
-        if self.forest is None:
-            raise RuntimeError("finalize_arena requires a batched engine")
         return self.forest.finalize()
 
-    # ------------------------------------------------------------ accessors
     def stats(self) -> Dict[str, int]:
-        """Table sizes and pool hit rates for benchmark reporting.
-
-        Both modes report the same shape; in batched mode the numbers come
-        from the forest builder and match the node-at-a-time values (same
-        interned payloads, same distinct internal nodes).
-        """
-        if self.forest is not None:
-            return self.forest.stats()
-        pool = self.leaf_pool.stats()
-        return {
-            "leaf_pool_entries": pool["entries"],
-            "leaf_pool_hits": pool["hits"],
-            "leaf_pool_misses": pool["misses"],
-            "distinct_internal_nodes": len(self.node_cache),
-        }
+        """Interned leaves, pool hits and distinct internal nodes (benchmarks)."""
+        return self.forest.stats()

@@ -21,14 +21,11 @@ window plus its two boundary leaves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Protocol, Sequence, runtime_checkable
+from typing import Optional, Protocol, Sequence, runtime_checkable
 
 from repro.crypto.hashing import HashFunction
 from repro.merkle.mh_tree import MerkleTree, RangeProof
 from repro.queryproc.window import ResultWindow
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from repro.merkle.engine import MerkleBuildEngine
 
 __all__ = ["FMHTree", "MIN_TOKEN", "MAX_TOKEN", "BoundaryEntry", "Hashable"]
 
@@ -87,37 +84,24 @@ class FMHTree:
         The subdomain's sorted function/record list.
     hash_function:
         Counting SHA-256 wrapper (a fresh uncounted one by default).
-    engine:
-        Optional shared-structure construction engine
-        (:class:`repro.merkle.engine.MerkleBuildEngine`).  When given, leaf
-        digests are interned in the engine's pool and internal nodes are
-        hash-consed across every tree built with the same engine; the
-        resulting tree (root, levels, proofs) is bit-identical either way.
+
+    The IFMH construction builds every subdomain's tree at once through
+    :class:`repro.merkle.engine.MerkleBuildEngine` and wraps each with
+    :meth:`from_prebuilt`; this constructor builds one tree on its own
+    (the reference those forests are checked against).
     """
 
     def __init__(
         self,
         sorted_items: Sequence[Hashable],
         hash_function: Optional[HashFunction] = None,
-        engine: Optional["MerkleBuildEngine"] = None,
     ):
         self._hash = hash_function or HashFunction()
         self.sorted_items = list(sorted_items)
-        if engine is None:
-            leaf_hashes = [self._hash.digest(MIN_TOKEN)]
-            leaf_hashes.extend(self._hash.digest(item.to_bytes()) for item in self.sorted_items)
-            leaf_hashes.append(self._hash.digest(MAX_TOKEN))
-            self.tree = MerkleTree(leaf_hashes, hash_function=self._hash)
-        else:
-            hash_function = self._hash
-            leaf_hashes = [engine.token_digest(MIN_TOKEN, hash_function)]
-            leaf_hashes.extend(
-                engine.leaf_digest(item, hash_function) for item in self.sorted_items
-            )
-            leaf_hashes.append(engine.token_digest(MAX_TOKEN, hash_function))
-            self.tree = MerkleTree(
-                leaf_hashes, hash_function=hash_function, node_cache=engine.node_cache
-            )
+        leaf_hashes = [self._hash.digest(MIN_TOKEN)]
+        leaf_hashes.extend(self._hash.digest(item.to_bytes()) for item in self.sorted_items)
+        leaf_hashes.append(self._hash.digest(MAX_TOKEN))
+        self.tree = MerkleTree(leaf_hashes, hash_function=self._hash)
 
     @classmethod
     def from_prebuilt(
@@ -126,7 +110,7 @@ class FMHTree:
         tree: MerkleTree,
         hash_function: HashFunction,
     ) -> "FMHTree":
-        """Wrap an already-built Merkle tree (the batched construction path).
+        """Wrap an already-built Merkle tree (the IFMH construction path).
 
         ``sorted_items`` may be any read-only sequence (e.g. a lazy
         :class:`repro.itree.permutation.PermutedView` over the shared

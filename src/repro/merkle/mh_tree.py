@@ -23,7 +23,7 @@ argument, section 4.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, MutableMapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import HashFunction
 
@@ -140,54 +140,27 @@ class MerkleTree:
         The (already hashed) leaves, level 0 of the tree.
     hash_function:
         Counting SHA-256 wrapper (a fresh uncounted one by default).
-    node_cache:
-        Optional hash-consing table mapping ``(left_digest, right_digest)``
-        to the parent digest, shared across trees by the construction
-        engine (:class:`repro.merkle.engine.MerkleBuildEngine`).  A cache
-        hit skips the SHA-256 invocation but still counts as one *logical*
-        hash operation, so counter-based figures are unchanged; carried odd
-        nodes are never hashed and never enter the cache.  The resulting
-        tree is bit-identical with or without a cache.
     """
 
     def __init__(
         self,
         leaf_hashes: Sequence[bytes],
         hash_function: Optional[HashFunction] = None,
-        node_cache: Optional[MutableMapping[Tuple[bytes, bytes], bytes]] = None,
     ):
         if len(leaf_hashes) == 0:
             raise ValueError("a Merkle tree needs at least one leaf")
         self._hash = hash_function or HashFunction()
         self.levels: List[List[bytes]] = [list(leaf_hashes)]
-        # The cache is only consulted during construction; it is deliberately
-        # not stored on the instance so the engine's tables can be freed once
-        # the owning construction drops them.
-        self._build(node_cache)
+        self._build()
 
     # ---------------------------------------------------------------- build
-    def _build(self, cache: Optional[MutableMapping[Tuple[bytes, bytes], bytes]]) -> None:
+    def _build(self) -> None:
         combine = self._hash.combine
         current = self.levels[0]
         while len(current) > 1:
             parents: List[bytes] = []
-            if cache is None:
-                for position in range(0, len(current) - 1, 2):
-                    parents.append(combine(current[position], current[position + 1]))
-            else:
-                lookup = cache.get
-                hits = 0
-                for position in range(0, len(current) - 1, 2):
-                    key = (current[position], current[position + 1])
-                    value = lookup(key)
-                    if value is None:
-                        value = combine(*key)
-                        cache[key] = value
-                    else:
-                        hits += 1
-                    parents.append(value)
-                if hits:
-                    self._hash.note_cached(hits)
+            for position in range(0, len(current) - 1, 2):
+                parents.append(combine(current[position], current[position + 1]))
             if len(current) % 2 == 1:
                 # Odd-node carry: the last node joins the next layer unchanged.
                 parents.append(current[-1])

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.config import SIGNATURE_MESH, SystemConfig, resolve_config
+from repro.core.config import SIGNATURE_MESH, SystemConfig
 from repro.core.errors import ConstructionError, QueryProcessingError
 from repro.core.queries import AnalyticQuery
 from repro.core.records import Dataset, Record, UtilityTemplate
@@ -70,13 +70,10 @@ class SignatureMesh:
         hash_function: Optional[HashFunction] = None,
         engine: Optional[SplitEngine] = None,
         counters: Optional[Counters] = None,
-        share_signatures: Optional[bool] = None,
         epoch: int = 0,
     ):
         # The scheme field is normalized: a SignatureMesh *is* the mesh.
-        config = resolve_config(
-            config, scheme=SIGNATURE_MESH, share_signatures=share_signatures
-        )
+        config = (config or SystemConfig()).replace(scheme=SIGNATURE_MESH)
         self._init_common(dataset, template, config, counters, hash_function, signer, epoch)
         if engine is None and config.tolerance is not None:
             engine = config.make_engine(template.domain)

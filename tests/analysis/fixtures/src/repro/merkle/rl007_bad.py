@@ -1,26 +1,12 @@
-"""RL007 fixture: dead slow branches behind fast-path toggles."""
+"""RL007 fixture: production code importing the slow reference."""
+
+import repro.reference  # line 3
+from repro import reference  # line 4
+from repro.reference import naive_ifmh_tree  # line 5
+from repro.reference.merkle import arena_from_level_trees as refold  # line 6
 
 
-def build_tree(leaves, hash_consing: bool):
-    if hash_consing or True:  # line 5: constant short-circuit
-        return _build_fast(leaves)
-    return _build_slow(leaves)
+def build(dataset, template):
+    from repro.reference.itree import balanced_incremental_itree  # line 10
 
-
-def hash_level(nodes, batch_hashing: bool):
-    if batch_hashing:
-        return _hash_batched(nodes)
-    else:
-        raise NotImplementedError("slow path removed")  # line 14: dead branch
-
-
-def _build_fast(leaves):
-    return leaves
-
-
-def _build_slow(leaves):
-    return leaves
-
-
-def _hash_batched(nodes):
-    return nodes
+    return balanced_incremental_itree, naive_ifmh_tree, refold, reference, repro

@@ -1,37 +1,10 @@
-"""RL007 fixture: both sides of every toggle stay callable."""
+"""RL007 fixture: production code that keeps to production modules."""
+
+import repro.merkle.arena
+from repro import merkle
+from repro.merkle.mh_tree import MerkleTree
+from repro.references import catalogue  # a different package that shares the prefix
 
 
-def build_tree(leaves, hash_consing: bool):
-    if hash_consing:
-        return _build_fast(leaves)
-    return _build_slow(leaves)
-
-
-def hash_level(nodes, batch_hashing: bool):
-    return _hash_batched(nodes) if batch_hashing else _hash_sequential(nodes)
-
-
-def pick_builder(builder: str):
-    if builder == "array":
-        return _build_fast
-    if builder == "pointer":
-        return _build_slow
-    # Rejecting an *invalid* toggle value is fine; only removing an
-    # implementation with NotImplementedError is banned.
-    raise ValueError(f"unknown builder {builder!r}")
-
-
-def _build_fast(leaves):
-    return leaves
-
-
-def _build_slow(leaves):
-    return leaves
-
-
-def _hash_batched(nodes):
-    return nodes
-
-
-def _hash_sequential(nodes):
-    return nodes
+def build(leaves):
+    return MerkleTree(leaves), merkle, catalogue, repro

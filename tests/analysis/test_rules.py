@@ -21,7 +21,13 @@ BAD_FIXTURES = {
     "merkle/rl004_bad.py": [("RL004", 10), ("RL004", 16), ("RL004", 19), ("RL004", 23)],
     "geometry/rl005_bad.py": [("RL005", 9), ("RL005", 13), ("RL005", 17)],
     "core/rl006_bad.py": [("RL006", 18), ("RL006", 21), ("RL006", 24)],
-    "merkle/rl007_bad.py": [("RL007", 5), ("RL007", 14)],
+    "merkle/rl007_bad.py": [
+        ("RL007", 3),
+        ("RL007", 4),
+        ("RL007", 5),
+        ("RL007", 6),
+        ("RL007", 10),
+    ],
     "resilience/rl008_bad.py": [("RL008", 8), ("RL008", 16), ("RL008", 23)],
     "core/artifact/rl009_bad.py": [("RL009", 7), ("RL009", 11), ("RL009", 16)],
     "serving/rl010_bad.py": [
@@ -41,6 +47,7 @@ OK_FIXTURES = [
     "geometry/rl005_ok.py",
     "core/rl006_ok.py",
     "merkle/rl007_ok.py",
+    "bench/rl007_ok.py",
     "resilience/rl008_ok.py",
     "core/artifact/rl009_ok.py",
     "serving/rl010_ok.py",

@@ -14,6 +14,7 @@ from repro.attacks.tamper import (
     apply_attack,
 )
 from repro.core.client import Client
+from repro.core.config import SystemConfig
 from repro.core.errors import ConstructionError
 from repro.core.owner import DataOwner
 from repro.core.protocol import OutsourcedSystem
@@ -26,7 +27,9 @@ from repro.core.server import Server
 @pytest.fixture()
 def system(univariate_dataset, univariate_template):
     return OutsourcedSystem.setup(
-        univariate_dataset, univariate_template, scheme="one-signature", signature_algorithm="hmac"
+        univariate_dataset,
+        univariate_template,
+        config=SystemConfig(scheme="one-signature", signature_algorithm="hmac"),
     )
 
 
@@ -130,7 +133,9 @@ def test_stale_server_fails_verification_after_update(
     current public parameters bind the new epoch into every signed
     message."""
     system = OutsourcedSystem.setup(
-        univariate_dataset, univariate_template, scheme=scheme, signature_algorithm="hmac"
+        univariate_dataset,
+        univariate_template,
+        config=SystemConfig(scheme=scheme, signature_algorithm="hmac"),
     )
     owner = system.owner
     stale_server = system.server  # holds the epoch-0 package
@@ -161,8 +166,7 @@ def test_stale_artifact_fails_verification_after_update(
     system = OutsourcedSystem.setup(
         univariate_dataset,
         univariate_template,
-        scheme="one-signature",
-        signature_algorithm="hmac",
+        config=SystemConfig(scheme="one-signature", signature_algorithm="hmac"),
     )
     owner = system.owner
     stale_path = tmp_path / "epoch0.npz"
@@ -187,8 +191,7 @@ def test_delta_artifact_on_wrong_base_is_rejected(
     system = OutsourcedSystem.setup(
         univariate_dataset,
         univariate_template,
-        scheme="one-signature",
-        signature_algorithm="hmac",
+        config=SystemConfig(scheme="one-signature", signature_algorithm="hmac"),
     )
     owner = system.owner
     base_path = tmp_path / "base.npz"
@@ -237,8 +240,7 @@ def test_replayed_delta_epoch_is_rejected(
     system = OutsourcedSystem.setup(
         univariate_dataset,
         univariate_template,
-        scheme="one-signature",
-        signature_algorithm="hmac",
+        config=SystemConfig(scheme="one-signature", signature_algorithm="hmac"),
     )
     owner = system.owner
     owner.insert(Record(record_id=55, values=(2.0, 2.0)))
@@ -266,7 +268,9 @@ SWEEP_APPLICABILITY = AttackApplicability()
 @pytest.mark.parametrize("scheme", ["one-signature", "multi-signature", "signature-mesh"])
 def test_every_attack_detected_under_every_scheme(univariate_dataset, univariate_template, scheme):
     system = OutsourcedSystem.setup(
-        univariate_dataset, univariate_template, scheme=scheme, signature_algorithm="hmac"
+        univariate_dataset,
+        univariate_template,
+        config=SystemConfig(scheme=scheme, signature_algorithm="hmac"),
     )
     rng = random.Random(3)
     queries = [

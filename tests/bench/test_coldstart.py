@@ -6,9 +6,11 @@ tests exercise the same code path at CI-friendly scale and check the JSON
 trajectory report.
 """
 
+import gc
 import json
 
 from repro.bench.coldstart import coldstart_point, run_coldstart, run_coldstart_smoke
+from repro.core.server import Server
 
 
 def test_coldstart_point_measures_and_guards(tmp_path):
@@ -23,6 +25,21 @@ def test_coldstart_point_measures_and_guards(tmp_path):
     assert point["subdomains"] > 30
     assert 0 < point["query_p50_ms"] <= point["query_p90_ms"]
     assert isinstance(point["query_rss_growth_mb"], float)
+
+
+def test_coldstart_load_is_timed_with_the_owner_heap_frozen(monkeypatch):
+    """The owner's objects are frozen while loads are timed, and thawed after."""
+    frozen_at_load = []
+    load = Server.from_artifact
+
+    def recording_load(path):
+        frozen_at_load.append(gc.get_freeze_count())
+        return load(path)
+
+    monkeypatch.setattr(Server, "from_artifact", recording_load)
+    coldstart_point(n_records=12, seed=2, repeats=2)
+    assert len(frozen_at_load) == 2 and min(frozen_at_load) > 0
+    assert gc.get_freeze_count() == 0
 
 
 def test_coldstart_point_cleans_up_its_temp_artifact():

@@ -1,4 +1,4 @@
-"""Gates for the shared-structure construction benchmark.
+"""Gates for the construction benchmark (batched engine vs naive reference).
 
 The full acceptance run (``python -m repro.bench --construction``) sweeps
 up to n = 200 and demands a >= 5x physical-hash reduction; these tests
@@ -19,12 +19,13 @@ from repro.bench.fastpath import (
 
 def test_construction_comparison_rows_and_invariants():
     result = construction_comparison(n_records=40, seed=0)
-    rows = {row["hash_consing"]: row for row in result.rows}
-    assert rows[False]["subdomains"] == rows[True]["subdomains"]
-    assert rows[False]["logical_hashes"] == rows[True]["logical_hashes"]
-    assert rows[False]["physical_hashes"] == rows[False]["logical_hashes"]
-    assert rows[True]["physical_hashes"] < rows[True]["logical_hashes"]
-    assert rows[True]["physical_reduction"] >= CONSTRUCTION_REDUCTION_FLOOR
+    rows = {row["engine"]: row for row in result.rows}
+    assert rows["naive"]["subdomains"] == rows["batched"]["subdomains"]
+    assert rows["naive"]["logical_hashes"] == rows["batched"]["logical_hashes"]
+    assert rows["naive"]["physical_hashes"] == rows["naive"]["logical_hashes"]
+    assert rows["naive"]["physical_reduction"] == 1.0
+    assert rows["batched"]["physical_hashes"] < rows["batched"]["logical_hashes"]
+    assert rows["batched"]["physical_reduction"] >= CONSTRUCTION_REDUCTION_FLOOR
     stats = result.parameters["engine_stats"]
     assert stats["leaf_pool_entries"] == 40 + 2  # records + the two tokens
     assert stats["leaf_pool_misses"] == stats["leaf_pool_entries"]
@@ -40,10 +41,8 @@ def test_run_construction_writes_trajectory(tmp_path):
     assert payload["headline_physical_reduction"] >= CONSTRUCTION_REDUCTION_FLOOR
     assert [point["n"] for point in payload["trajectory"]] == [20, 40]
     for point in payload["trajectory"]:
-        assert point["naive"]["logical_hashes"] == point["hash_consing"]["logical_hashes"]
-        assert (
-            point["hash_consing"]["physical_hashes"] < point["naive"]["physical_hashes"]
-        )
+        assert point["naive"]["logical_hashes"] == point["batched"]["logical_hashes"]
+        assert point["batched"]["physical_hashes"] < point["naive"]["physical_hashes"]
 
 
 def test_run_construction_reports_regression_below_floor(monkeypatch, tmp_path):
@@ -65,8 +64,8 @@ def test_construction_gate_at_n200():
     reduction, so repeating the builds would only slow the suite down.
     """
     result = construction_comparison(n_records=200, seed=0, repeats=1)
-    rows = {row["hash_consing"]: row for row in result.rows}
-    assert rows[True]["physical_reduction"] >= 5.0, (
-        f"shared-structure engine only cut physical hashing "
-        f"{rows[True]['physical_reduction']:.1f}x at n=200"
+    rows = {row["engine"]: row for row in result.rows}
+    assert rows["batched"]["physical_reduction"] >= 5.0, (
+        f"the batched engine only cut physical hashing "
+        f"{rows['batched']['physical_reduction']:.1f}x at n=200"
     )

@@ -20,8 +20,10 @@ import pytest
 
 from repro.core.artifact import (
     ARTIFACT_FORMAT_VERSION,
+    SHARDED_FORMAT_VERSION,
     SUPPORTED_FORMAT_VERSIONS,
     ARTIFACT_MAGIC,
+    _payload_checksum,
     load_artifact,
     load_public_parameters,
     save_artifact_bytes,
@@ -35,6 +37,8 @@ from repro.core.queries import KNNQuery, RangeQuery, TopKQuery
 from repro.core.records import Record
 from repro.core.server import Server
 from repro.workloads.generator import WorkloadConfig, make_dataset, make_template
+
+from tests.helpers import assert_queries_bit_identical, naive_reference_pair
 
 QUERIES_1D = [
     TopKQuery(weights=(0.35,), k=4),
@@ -124,16 +128,41 @@ def test_round_trip_multivariate_lp_configuration(scheme, tmp_path):
     _assert_bit_identical(system, server, client, queries)
 
 
-@pytest.mark.parametrize("hash_consing,batch_hashing", [(True, False), (False, False)])
-def test_round_trip_of_non_batched_builds(hash_consing, batch_hashing, tmp_path):
-    """Builds without the arena are re-encoded into one, value-exactly."""
-    system = _published_system(
-        "one-signature", hash_consing=hash_consing, batch_hashing=batch_hashing
-    )
+@pytest.mark.parametrize("scheme", ["one-signature", "multi-signature"])
+def test_loaded_artifact_answers_like_the_naive_reference(scheme, tmp_path):
+    """A cold server from the published arena serves what the naive build serves."""
+    system = _published_system(scheme)
     path = _publish(system, tmp_path)
-    server = Server.from_artifact(path)
-    client = Client.from_artifact(path)
-    _assert_bit_identical(system, server, client, QUERIES_1D)
+    assert_queries_bit_identical(
+        naive_reference_pair(system.owner),
+        (Server.from_artifact(path), Client.from_artifact(path)),
+        QUERIES_1D,
+    )
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("shards", [None, 3])
+def test_headers_echoing_the_retired_build_flags_still_load(flag, shards, tmp_path):
+    """Artifacts whose config echo carries hash_consing / batch_hashing load as before.
+
+    Older builds echoed both flags; they only chose how the forest was
+    hashed, so the loader drops them and serves the same answers.
+    """
+    system = _published_system("one-signature")
+    path = tmp_path / "ads.npz"
+    system.owner.publish(path, arena_shards=shards)
+    _rewrite_meta(
+        path, lambda meta: meta["config"].update(hash_consing=flag, batch_hashing=flag)
+    )
+    loaded = load_artifact(path)
+    assert loaded.meta["config"]["hash_consing"] is flag
+    assert loaded.meta["format_version"] == (
+        ARTIFACT_FORMAT_VERSION if shards is None else SHARDED_FORMAT_VERSION
+    )
+    assert loaded.config == system.owner.config
+    _assert_bit_identical(
+        system, Server(loaded.package), Client(loaded.public_parameters), QUERIES_1D
+    )
 
 
 def test_round_trip_incremental_builder(tmp_path):
@@ -252,6 +281,27 @@ def _npy_bytes(array):
     return buffer.getvalue()
 
 
+def _rewrite_meta(path, edit):
+    """Apply ``edit`` to an artifact's header and re-seal it with a valid checksum."""
+    with np.load(path) as bundle:
+        meta = json.loads(bundle["meta"].tobytes().decode("utf-8"))
+        arrays = {
+            name: bundle[name]
+            for name in bundle.files
+            if name not in ("meta", "checksum")
+        }
+    edit(meta)
+    blob = json.dumps(meta, sort_keys=True).encode()
+    checksum = np.frombuffer(_payload_checksum(blob, arrays), dtype=np.uint8)
+    _rezip_with(
+        path,
+        {
+            "meta.npy": _npy_bytes(np.frombuffer(blob, dtype=np.uint8)),
+            "checksum.npy": _npy_bytes(checksum),
+        },
+    )
+
+
 def test_stale_checksum_after_array_swap_rejected(tmp_path):
     """A consistent zip whose arrays no longer match the stored checksum."""
     system = _published_system("one-signature", n_records=6)
@@ -280,25 +330,9 @@ def test_tampered_meta_rejected(tmp_path):
 def test_future_format_version_rejected(tmp_path):
     system = _published_system("one-signature", n_records=6)
     path = _publish(system, tmp_path)
-    with np.load(path) as bundle:
-        meta = json.loads(bundle["meta"].tobytes().decode("utf-8"))
-        arrays = {
-            name: bundle[name]
-            for name in bundle.files
-            if name not in ("meta", "checksum")
-        }
-        meta["format_version"] = max(SUPPORTED_FORMAT_VERSIONS) + 1
-        blob = json.dumps(meta, sort_keys=True).encode()
-        from repro.core.artifact import _payload_checksum
-
-        checksum = np.frombuffer(_payload_checksum(blob, arrays), dtype=np.uint8)
-        _rezip_with(
-            path,
-            {
-                "meta.npy": _npy_bytes(np.frombuffer(blob, dtype=np.uint8)),
-                "checksum.npy": _npy_bytes(checksum),
-            },
-        )
+    _rewrite_meta(
+        path, lambda meta: meta.update(format_version=max(SUPPORTED_FORMAT_VERSIONS) + 1)
+    )
     with pytest.raises(ConstructionError, match="format version"):
         Server.from_artifact(path)
 
@@ -307,25 +341,7 @@ def test_root_of_roots_mismatch_rejected(tmp_path):
     """A forged roots digest (with a matching payload checksum) is caught."""
     system = _published_system("one-signature", n_records=6)
     path = _publish(system, tmp_path)
-    with np.load(path) as bundle:
-        meta = json.loads(bundle["meta"].tobytes().decode("utf-8"))
-        arrays = {
-            name: bundle[name]
-            for name in bundle.files
-            if name not in ("meta", "checksum")
-        }
-    meta["roots_digest"] = "00" * 32
-    blob = json.dumps(meta, sort_keys=True).encode()
-    from repro.core.artifact import _payload_checksum
-
-    checksum = np.frombuffer(_payload_checksum(blob, arrays), dtype=np.uint8)
-    _rezip_with(
-        path,
-        {
-            "meta.npy": _npy_bytes(np.frombuffer(blob, dtype=np.uint8)),
-            "checksum.npy": _npy_bytes(checksum),
-        },
-    )
+    _rewrite_meta(path, lambda meta: meta.update(roots_digest="00" * 32))
     with pytest.raises(ConstructionError, match="root-of-roots"):
         Server.from_artifact(path)
 

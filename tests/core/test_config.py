@@ -1,15 +1,10 @@
-"""SystemConfig: validation, the legacy-kwarg shim and tolerance threading."""
+"""SystemConfig: validation, the dict codec and threading through the constructors."""
 
 import dataclasses
 
 import pytest
 
-from repro.core.config import (
-    SCHEMES,
-    SIGNATURE_MESH,
-    SystemConfig,
-    resolve_config,
-)
+from repro.core.config import SCHEMES, SIGNATURE_MESH, SystemConfig
 from repro.core.errors import ConstructionError
 from repro.core.owner import DataOwner
 from repro.core.protocol import OutsourcedSystem
@@ -24,7 +19,6 @@ def test_defaults_are_the_library_defaults():
     assert config.signature_algorithm == "rsa"
     assert config.bind_intersections and config.share_signatures
     assert config.build_mode == "auto"
-    assert config.hash_consing and config.batch_hashing
     assert config.key_bits is None and config.tolerance is None
 
 
@@ -46,13 +40,6 @@ def test_bad_key_bits_and_tolerance_rejected():
         SystemConfig(tolerance=-1e-9)
 
 
-def test_batch_hashing_requires_hash_consing():
-    """The implication is enforced once, in the config."""
-    config = SystemConfig(hash_consing=False, batch_hashing=True)
-    assert config.batch_hashing is False
-    assert SystemConfig(hash_consing=True).batch_hashing is True
-
-
 def test_config_is_frozen():
     config = SystemConfig()
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -69,54 +56,33 @@ def test_from_dict_rejects_unknown_fields():
         SystemConfig.from_dict({"scheme": "one-signature", "sharding": True})
 
 
-# ------------------------------------------------------------ resolve_config
-def test_resolve_without_config_builds_from_kwargs():
-    config = resolve_config(None, scheme="multi-signature", hash_consing=False)
-    assert config.scheme == "multi-signature"
-    assert config.hash_consing is False and config.batch_hashing is False
-
-
-def test_resolve_with_config_applies_overrides():
-    base = SystemConfig(scheme="one-signature", signature_algorithm="hmac")
-    merged = resolve_config(base, scheme="multi-signature")
-    assert merged.scheme == "multi-signature"
-    assert merged.signature_algorithm == "hmac"
-    assert resolve_config(base) is base
-
-
-def test_resolve_rejects_non_config_objects():
-    with pytest.raises(ConstructionError, match="SystemConfig"):
-        resolve_config({"scheme": "one-signature"})
+@pytest.mark.parametrize("flag", [True, False])
+def test_from_dict_drops_the_retired_build_flags(flag):
+    """Older artifact headers echo hash_consing / batch_hashing; both are dropped."""
+    config = SystemConfig(scheme="multi-signature", key_bits=512)
+    echo = {**config.to_dict(), "hash_consing": flag, "batch_hashing": flag}
+    assert SystemConfig.from_dict(echo) == config
+    assert "hash_consing" not in config.to_dict()
+    assert "batch_hashing" not in config.to_dict()
 
 
 # ----------------------------------------------------- threading through APIs
-def test_owner_legacy_kwargs_equal_config_object(univariate_dataset, univariate_template, hmac_keypair):
-    legacy = DataOwner(
-        univariate_dataset,
-        univariate_template,
-        scheme="multi-signature",
-        signature_algorithm="hmac",
-        build_mode="incremental",
-        keypair=hmac_keypair,
-    )
-    configured = DataOwner(
+def test_owner_threads_the_build_mode(univariate_dataset, univariate_template, hmac_keypair):
+    owner = DataOwner(
         univariate_dataset,
         univariate_template,
         config=SystemConfig(
-            scheme="multi-signature",
-            signature_algorithm="hmac",
-            build_mode="incremental",
+            scheme="multi-signature", signature_algorithm="hmac", build_mode="incremental"
         ),
         keypair=hmac_keypair,
     )
-    assert legacy.config == configured.config
-    assert legacy.ads.root_hash == configured.ads.root_hash
-    assert legacy.ads.itree.builder == configured.ads.itree.builder == "incremental"
+    assert owner.config.build_mode == "incremental"
+    assert owner.ads.itree.builder == "incremental"
 
 
 def test_owner_rejects_unknown_scheme(univariate_dataset, univariate_template):
     with pytest.raises(ConstructionError, match="unknown scheme"):
-        DataOwner(univariate_dataset, univariate_template, scheme="bogus")
+        DataOwner(univariate_dataset, univariate_template, config=SystemConfig(scheme="bogus"))
 
 
 def test_tolerance_reaches_the_interval_engine(univariate_dataset, univariate_template):
@@ -149,9 +115,7 @@ def test_setup_threads_tolerance_without_hand_built_engine(
     system = OutsourcedSystem.setup(
         univariate_dataset,
         univariate_template,
-        scheme="one-signature",
-        signature_algorithm="hmac",
-        tolerance=0.0,
+        config=SystemConfig(scheme="one-signature", signature_algorithm="hmac", tolerance=0.0),
     )
     assert system.owner.ads.itree.engine.tolerance == 0.0
     assert system.owner.config.tolerance == 0.0

@@ -9,6 +9,7 @@ verification must name the failing checks.
 import pytest
 
 from repro.core.client import Client
+from repro.core.config import SystemConfig
 from repro.core.errors import (
     ContextualReproError,
     QueryProcessingError,
@@ -24,8 +25,7 @@ def system(univariate_dataset, univariate_template):
     return OutsourcedSystem.setup(
         univariate_dataset,
         univariate_template,
-        scheme="one-signature",
-        signature_algorithm="hmac",
+        config=SystemConfig(scheme="one-signature", signature_algorithm="hmac"),
     )
 
 

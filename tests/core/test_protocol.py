@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.client import Client
+from repro.core.config import SystemConfig
 from repro.core.errors import ConstructionError, VerificationError
 from repro.core.owner import DataOwner, SCHEMES, SIGNATURE_MESH
 from repro.core.protocol import OutsourcedSystem
@@ -19,7 +20,7 @@ def test_schemes_tuple_contains_all_three():
 
 def test_owner_rejects_unknown_scheme(univariate_dataset, univariate_template):
     with pytest.raises(ConstructionError):
-        DataOwner(univariate_dataset, univariate_template, scheme="plain")
+        DataOwner(univariate_dataset, univariate_template, config=SystemConfig(scheme="plain"))
 
 
 @pytest.mark.parametrize("scheme,ads_type", [
@@ -29,7 +30,9 @@ def test_owner_rejects_unknown_scheme(univariate_dataset, univariate_template):
 ])
 def test_owner_builds_matching_ads(univariate_dataset, univariate_template, scheme, ads_type):
     owner = DataOwner(
-        univariate_dataset, univariate_template, scheme=scheme, signature_algorithm="hmac"
+        univariate_dataset,
+        univariate_template,
+        config=SystemConfig(scheme=scheme, signature_algorithm="hmac"),
     )
     assert isinstance(owner.ads, ads_type)
     assert owner.signature_count >= 1
@@ -38,7 +41,9 @@ def test_owner_builds_matching_ads(univariate_dataset, univariate_template, sche
 
 def test_public_parameters_expose_only_public_data(univariate_dataset, univariate_template):
     owner = DataOwner(
-        univariate_dataset, univariate_template, scheme=ONE_SIGNATURE, signature_algorithm="hmac"
+        univariate_dataset,
+        univariate_template,
+        config=SystemConfig(scheme=ONE_SIGNATURE, signature_algorithm="hmac"),
     )
     params = owner.public_parameters()
     assert params.scheme == ONE_SIGNATURE
@@ -50,7 +55,9 @@ def test_public_parameters_expose_only_public_data(univariate_dataset, univariat
 
 def test_outsource_package_contains_everything(univariate_dataset, univariate_template):
     owner = DataOwner(
-        univariate_dataset, univariate_template, scheme=MULTI_SIGNATURE, signature_algorithm="hmac"
+        univariate_dataset,
+        univariate_template,
+        config=SystemConfig(scheme=MULTI_SIGNATURE, signature_algorithm="hmac"),
     )
     package = owner.outsource()
     assert package.dataset is univariate_dataset
@@ -70,7 +77,9 @@ def test_outsource_package_contains_everything(univariate_dataset, univariate_te
 )
 def test_end_to_end_query_and_verify(univariate_dataset, univariate_template, scheme, query):
     system = OutsourcedSystem.setup(
-        univariate_dataset, univariate_template, scheme=scheme, signature_algorithm="hmac"
+        univariate_dataset,
+        univariate_template,
+        config=SystemConfig(scheme=scheme, signature_algorithm="hmac"),
     )
     execution, report = system.query_and_verify(query)
     assert report.is_valid, report.failures
@@ -83,7 +92,9 @@ def test_all_schemes_return_identical_results(univariate_dataset, univariate_tem
     ids_per_scheme = []
     for scheme in SCHEMES:
         system = OutsourcedSystem.setup(
-            univariate_dataset, univariate_template, scheme=scheme, signature_algorithm="hmac"
+            univariate_dataset,
+            univariate_template,
+            config=SystemConfig(scheme=scheme, signature_algorithm="hmac"),
         )
         execution, report = system.query_and_verify(query)
         assert report.is_valid
@@ -93,7 +104,9 @@ def test_all_schemes_return_identical_results(univariate_dataset, univariate_tem
 
 def test_server_accumulates_counters(univariate_dataset, univariate_template):
     system = OutsourcedSystem.setup(
-        univariate_dataset, univariate_template, scheme=ONE_SIGNATURE, signature_algorithm="hmac"
+        univariate_dataset,
+        univariate_template,
+        config=SystemConfig(scheme=ONE_SIGNATURE, signature_algorithm="hmac"),
     )
     before = system.server.counters.nodes_traversed
     system.server.execute(TopKQuery(weights=(0.5,), k=2))
@@ -103,7 +116,9 @@ def test_server_accumulates_counters(univariate_dataset, univariate_template):
 
 def test_per_query_counters_are_isolated(univariate_dataset, univariate_template):
     system = OutsourcedSystem.setup(
-        univariate_dataset, univariate_template, scheme=ONE_SIGNATURE, signature_algorithm="hmac"
+        univariate_dataset,
+        univariate_template,
+        config=SystemConfig(scheme=ONE_SIGNATURE, signature_algorithm="hmac"),
     )
     counters = Counters()
     execution = system.server.execute(TopKQuery(weights=(0.5,), k=2), counters=counters)
@@ -113,10 +128,14 @@ def test_per_query_counters_are_isolated(univariate_dataset, univariate_template
 
 def test_client_rejects_mismatched_vo_type(univariate_dataset, univariate_template):
     ifmh_system = OutsourcedSystem.setup(
-        univariate_dataset, univariate_template, scheme=ONE_SIGNATURE, signature_algorithm="hmac"
+        univariate_dataset,
+        univariate_template,
+        config=SystemConfig(scheme=ONE_SIGNATURE, signature_algorithm="hmac"),
     )
     mesh_system = OutsourcedSystem.setup(
-        univariate_dataset, univariate_template, scheme=SIGNATURE_MESH, signature_algorithm="hmac"
+        univariate_dataset,
+        univariate_template,
+        config=SystemConfig(scheme=SIGNATURE_MESH, signature_algorithm="hmac"),
     )
     query = TopKQuery(weights=(0.5,), k=2)
     mesh_execution = mesh_system.server.execute(query)
@@ -129,7 +148,9 @@ def test_client_rejects_mismatched_vo_type(univariate_dataset, univariate_templa
 
 def test_client_verify_or_raise(univariate_dataset, univariate_template):
     system = OutsourcedSystem.setup(
-        univariate_dataset, univariate_template, scheme=ONE_SIGNATURE, signature_algorithm="hmac"
+        univariate_dataset,
+        univariate_template,
+        config=SystemConfig(scheme=ONE_SIGNATURE, signature_algorithm="hmac"),
     )
     query = TopKQuery(weights=(0.5,), k=2)
     execution = system.server.execute(query)
@@ -143,7 +164,9 @@ def test_client_verify_or_raise(univariate_dataset, univariate_template):
 
 def test_client_accumulates_counters(univariate_dataset, univariate_template):
     system = OutsourcedSystem.setup(
-        univariate_dataset, univariate_template, scheme=MULTI_SIGNATURE, signature_algorithm="hmac"
+        univariate_dataset,
+        univariate_template,
+        config=SystemConfig(scheme=MULTI_SIGNATURE, signature_algorithm="hmac"),
     )
     query = RangeQuery(weights=(0.5,), low=1.0, high=6.0)
     execution = system.server.execute(query)
@@ -154,7 +177,9 @@ def test_client_accumulates_counters(univariate_dataset, univariate_template):
 
 def test_system_scheme_property(univariate_dataset, univariate_template):
     system = OutsourcedSystem.setup(
-        univariate_dataset, univariate_template, scheme=SIGNATURE_MESH, signature_algorithm="hmac"
+        univariate_dataset,
+        univariate_template,
+        config=SystemConfig(scheme=SIGNATURE_MESH, signature_algorithm="hmac"),
     )
     assert system.scheme == SIGNATURE_MESH
 
@@ -163,7 +188,7 @@ def test_rsa_signature_algorithm_end_to_end(univariate_dataset, univariate_templ
     owner = DataOwner(
         univariate_dataset,
         univariate_template,
-        scheme=ONE_SIGNATURE,
+        config=SystemConfig(scheme=ONE_SIGNATURE),
         keypair=rsa_keypair,
     )
     server = Server(owner.outsource())

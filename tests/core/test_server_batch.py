@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro.core.config import SystemConfig
 from repro.core.protocol import OutsourcedSystem
 from repro.core.queries import KNNQuery, RangeQuery, TopKQuery
 from repro.core.server import Server
@@ -23,7 +24,7 @@ def system():
     dataset = make_dataset(config)
     template = make_template(config)
     return OutsourcedSystem.setup(
-        dataset, template, scheme="one-signature", signature_algorithm="hmac"
+        dataset, template, config=SystemConfig(scheme="one-signature", signature_algorithm="hmac")
     )
 
 
@@ -144,7 +145,7 @@ def test_batch_works_for_signature_mesh(system):
     dataset = make_dataset(config)
     template = make_template(config)
     mesh_system = OutsourcedSystem.setup(
-        dataset, template, scheme="signature-mesh", signature_algorithm="hmac"
+        dataset, template, config=SystemConfig(scheme="signature-mesh", signature_algorithm="hmac")
     )
     rng = random.Random(3)
     queries = [

@@ -193,8 +193,8 @@ def test_mesh_updates_rebuild_and_stay_consistent():
     assert_matches_fresh_rebuild(owner, [TopKQuery(weights=(0.5,), k=3)])
 
 
-def test_node_engine_configuration_falls_back_to_rebuild():
-    owner = _owner(_ROWS, batch_hashing=False)
+def test_incremental_builder_configuration_falls_back_to_rebuild():
+    owner = _owner(_ROWS, build_mode="incremental")
     report = owner.insert(Record(record_id=7, values=(2.2, 3.3)))
     assert report.strategy == "rebuild"
     assert_matches_fresh_rebuild(owner, [TopKQuery(weights=(0.5,), k=3)])

@@ -1,11 +1,11 @@
 """Shared test oracles.
 
 The repo's correctness bar for every state-preserving transformation --
-publishing and reloading an artifact (PR 4), applying incremental updates
-(PR 5) -- is the same: the transformed system must be observationally
-**bit-identical** to a reference system.  The assertion block lives here
-once so the artifact and update property suites (and any future
-transformation) use one oracle.
+building through the batched forest engine, publishing and reloading an
+artifact, applying incremental updates -- is the same: the transformed
+system must be observationally **bit-identical** to a reference system.
+The assertion block lives here once so the construction, artifact and
+update suites (and any future transformation) use one oracle.
 """
 
 from __future__ import annotations
@@ -14,10 +14,13 @@ import io
 import zipfile
 
 from repro.core.client import Client
-from repro.core.owner import DataOwner
+from repro.core.config import SystemConfig
+from repro.core.owner import DataOwner, ServerPackage
 from repro.core.server import Server
 from repro.ifmh.ifmh_tree import MULTI_SIGNATURE, ONE_SIGNATURE, IFMHTree
 from repro.mesh.builder import SignatureMesh
+from repro.metrics.counters import Counters
+from repro.reference import naive_ifmh_tree
 
 
 def assert_queries_bit_identical(expected, actual, queries, require_valid=True):
@@ -109,6 +112,37 @@ def assert_matches_fresh_rebuild(owner: DataOwner, queries, require_valid=True):
         require_valid=require_valid,
     )
     return fresh
+
+
+def naive_and_engine_builds(dataset, template, **config_fields):
+    """The same IFMH built by the naive reference and by the production engine.
+
+    Returns ``(trees, counters)``, each keyed ``"naive"`` and ``"engine"``;
+    ``config_fields`` go to the :class:`SystemConfig` both builds share.
+    """
+    config = SystemConfig(**config_fields)
+    trees, counters = {}, {}
+    for name, build in (("naive", naive_ifmh_tree), ("engine", IFMHTree)):
+        counters[name] = Counters()
+        trees[name] = build(dataset, template, config=config, counters=counters[name])
+    return trees, counters
+
+
+def naive_reference_pair(owner: DataOwner):
+    """A (server, client) pair over the naive reference build of ``owner``'s ADS.
+
+    Same dataset, config and signing key; the ADS is
+    :func:`repro.reference.naive_ifmh_tree`, which builds every subdomain's
+    FMH-tree on its own.  The construction identity suites compare the
+    production build's query surface against this pair.
+    """
+    ads = naive_ifmh_tree(
+        owner.dataset, owner.template, config=owner.config, signer=owner.keypair.signer
+    )
+    package = ServerPackage(
+        dataset=owner.dataset, ads=ads, public_parameters=owner.public_parameters()
+    )
+    return Server(package), Client(owner.public_parameters())
 
 
 def artifact_members(payload: bytes) -> list:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import SystemConfig
 from repro.core.errors import ConstructionError
 from repro.core.records import Dataset
 from repro.ifmh.ifmh_tree import IFMHTree, MULTI_SIGNATURE, ONE_SIGNATURE
@@ -12,26 +13,34 @@ from repro.metrics.sizes import SizeModel
 @pytest.fixture()
 def one_sig_tree(univariate_dataset, univariate_template, hmac_keypair):
     return IFMHTree(
-        univariate_dataset, univariate_template, mode=ONE_SIGNATURE, signer=hmac_keypair.signer
+        univariate_dataset,
+        univariate_template,
+        config=SystemConfig(scheme=ONE_SIGNATURE),
+        signer=hmac_keypair.signer,
     )
 
 
 @pytest.fixture()
 def multi_sig_tree(univariate_dataset, univariate_template, hmac_keypair):
     return IFMHTree(
-        univariate_dataset, univariate_template, mode=MULTI_SIGNATURE, signer=hmac_keypair.signer
+        univariate_dataset,
+        univariate_template,
+        config=SystemConfig(scheme=MULTI_SIGNATURE),
+        signer=hmac_keypair.signer,
     )
 
 
 def test_unknown_mode_rejected(univariate_dataset, univariate_template):
     with pytest.raises(ConstructionError):
-        IFMHTree(univariate_dataset, univariate_template, mode="zero-signature")
+        IFMHTree(
+            univariate_dataset, univariate_template, config=SystemConfig(scheme="zero-signature")
+        )
 
 
 def test_empty_dataset_rejected(univariate_template):
     empty = Dataset(attribute_names=("factor", "baseline"), records=[])
     with pytest.raises(ConstructionError):
-        IFMHTree(empty, univariate_template, mode=ONE_SIGNATURE)
+        IFMHTree(empty, univariate_template, config=SystemConfig(scheme=ONE_SIGNATURE))
 
 
 def test_every_leaf_has_fmh_tree_and_hash(one_sig_tree):
@@ -80,7 +89,12 @@ def test_multi_signature_digest_binds_constraints_and_root(multi_sig_tree, hmac_
 
 
 def test_unsigned_tree_has_zero_signatures(univariate_dataset, univariate_template):
-    tree = IFMHTree(univariate_dataset, univariate_template, mode=MULTI_SIGNATURE, signer=None)
+    tree = IFMHTree(
+        univariate_dataset,
+        univariate_template,
+        config=SystemConfig(scheme=MULTI_SIGNATURE),
+        signer=None,
+    )
     assert tree.signature_count == 0
     assert tree.root_signature is None
 
@@ -90,7 +104,7 @@ def test_counters_record_owner_work(univariate_dataset, univariate_template, hma
     tree = IFMHTree(
         univariate_dataset,
         univariate_template,
-        mode=MULTI_SIGNATURE,
+        config=SystemConfig(scheme=MULTI_SIGNATURE),
         signer=hmac_keypair.signer,
         counters=counters,
     )
@@ -107,20 +121,28 @@ def test_node_counts_are_consistent(one_sig_tree):
 
 
 def test_root_hash_changes_when_a_record_changes(univariate_dataset, univariate_template):
-    baseline = IFMHTree(univariate_dataset, univariate_template, mode=ONE_SIGNATURE).root_hash
+    baseline = IFMHTree(
+        univariate_dataset, univariate_template, config=SystemConfig(scheme=ONE_SIGNATURE)
+    ).root_hash
     rows = [tuple(record.values) for record in univariate_dataset]
     rows[0] = (rows[0][0] + 0.001, rows[0][1])
     modified = Dataset.from_rows(univariate_dataset.attribute_names, rows)
-    changed = IFMHTree(modified, univariate_template, mode=ONE_SIGNATURE).root_hash
+    changed = IFMHTree(
+        modified, univariate_template, config=SystemConfig(scheme=ONE_SIGNATURE)
+    ).root_hash
     assert baseline != changed
 
 
 def test_bind_intersections_changes_root(univariate_dataset, univariate_template):
     bound = IFMHTree(
-        univariate_dataset, univariate_template, mode=ONE_SIGNATURE, bind_intersections=True
+        univariate_dataset,
+        univariate_template,
+        config=SystemConfig(scheme=ONE_SIGNATURE, bind_intersections=True),
     )
     unbound = IFMHTree(
-        univariate_dataset, univariate_template, mode=ONE_SIGNATURE, bind_intersections=False
+        univariate_dataset,
+        univariate_template,
+        config=SystemConfig(scheme=ONE_SIGNATURE, bind_intersections=False),
     )
     assert bound.root_hash != unbound.root_hash
     # Both still propagate a hash to every node.
@@ -145,7 +167,10 @@ def test_size_breakdown_and_total(one_sig_tree, multi_sig_tree):
 
 def test_bivariate_build(applicant_dataset, bivariate_template, hmac_keypair):
     tree = IFMHTree(
-        applicant_dataset, bivariate_template, mode=ONE_SIGNATURE, signer=hmac_keypair.signer
+        applicant_dataset,
+        bivariate_template,
+        config=SystemConfig(scheme=ONE_SIGNATURE),
+        signer=hmac_keypair.signer,
     )
     assert tree.subdomain_count >= 1
     trace = tree.search((0.3, 0.7))

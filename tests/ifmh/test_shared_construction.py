@@ -1,11 +1,12 @@
-"""The shared-structure construction engine must be observationally invisible.
+"""The shared-structure forest engine must be observationally invisible.
 
-Hash-consing trades physical SHA-256 work for cache lookups; nothing else
-may change.  These tests compare full IFMH builds with the engine on vs off:
-root hashes, per-subdomain FMH roots, subdomain digests, verification
-objects and client verdicts must be bit-identical, the *logical* hash
-counters (what Fig. 5a/7a report) must be equal, and the physical counter
-must drop.
+Sharing nodes between subdomain trees trades physical SHA-256 work for
+cache lookups; nothing else may change.  These tests compare full IFMH
+builds with the naive reference (:func:`repro.reference.naive_ifmh_tree`,
+one FMH-tree per subdomain, nothing shared): root hashes, per-subdomain FMH
+roots, subdomain digests, verification objects and client verdicts must be
+bit-identical, the *logical* hash counters (what Fig. 5a/7a report) must be
+equal, and the physical counter must drop.
 """
 
 import random
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.client import Client
+from repro.core.config import SystemConfig
 from repro.core.errors import ConstructionError
 from repro.core.owner import DataOwner
 from repro.core.queries import RangeQuery, TopKQuery
@@ -21,89 +23,77 @@ from repro.core.records import Dataset, Record, UtilityTemplate
 from repro.core.server import Server
 from repro.geometry.domain import Domain
 from repro.ifmh.ifmh_tree import IFMHTree, MULTI_SIGNATURE, ONE_SIGNATURE
-from repro.metrics.counters import Counters
 from repro.workloads.generator import WorkloadConfig, make_dataset, make_template
 
-
-def _build_pair(dataset, template, mode=ONE_SIGNATURE, **kwargs):
-    """The same IFMH built naively and through the shared-structure engine."""
-    trees, counters = {}, {}
-    for hash_consing in (False, True):
-        counter = Counters()
-        trees[hash_consing] = IFMHTree(
-            dataset, template, mode=mode, counters=counter, hash_consing=hash_consing, **kwargs
-        )
-        counters[hash_consing] = counter
-    return trees, counters
+from tests.helpers import (
+    assert_queries_bit_identical,
+    naive_and_engine_builds,
+    naive_reference_pair,
+)
 
 
 @pytest.mark.parametrize("mode", [ONE_SIGNATURE, MULTI_SIGNATURE])
 def test_roots_digests_and_logical_counts_identical(
     univariate_dataset, univariate_template, mode
 ):
-    trees, counters = _build_pair(univariate_dataset, univariate_template, mode=mode)
-    naive, consed = trees[False], trees[True]
+    trees, counters = naive_and_engine_builds(
+        univariate_dataset, univariate_template, scheme=mode
+    )
+    naive, consed = trees["naive"], trees["engine"]
     assert consed.root_hash == naive.root_hash
     for a, b in zip(consed.itree.leaves(), naive.itree.leaves()):
         assert a.hash_value == b.hash_value
         assert a.fmh_tree.tree.levels == b.fmh_tree.tree.levels
         assert consed.subdomain_digest(a) == naive.subdomain_digest(b)
     assert (
-        counters[True].hash_operations == counters[False].hash_operations
+        counters["engine"].hash_operations == counters["naive"].hash_operations
     ), "cache hits must still count as logical hash operations"
-    assert counters[True].physical_hash_operations < counters[False].physical_hash_operations
     assert (
-        counters[False].physical_hash_operations == counters[False].hash_operations
+        counters["engine"].physical_hash_operations
+        < counters["naive"].physical_hash_operations
+    )
+    assert (
+        counters["naive"].physical_hash_operations == counters["naive"].hash_operations
     ), "the naive build performs every hash physically"
 
 
 def test_engine_reduces_physical_hashing_at_least_5x():
     workload = WorkloadConfig(n_records=40, dimension=1, seed=3)
-    trees, counters = _build_pair(make_dataset(workload), make_template(workload))
-    assert trees[True].root_hash == trees[False].root_hash
+    trees, counters = naive_and_engine_builds(make_dataset(workload), make_template(workload))
+    assert trees["engine"].root_hash == trees["naive"].root_hash
     reduction = (
-        counters[False].physical_hash_operations / counters[True].physical_hash_operations
+        counters["naive"].physical_hash_operations
+        / counters["engine"].physical_hash_operations
     )
     assert reduction >= 5.0, f"only {reduction:.2f}x physical reduction at n=40"
 
 
 def test_bind_intersections_ablation_unchanged(univariate_dataset, univariate_template):
-    trees, _ = _build_pair(
+    trees, _ = naive_and_engine_builds(
         univariate_dataset, univariate_template, bind_intersections=False
     )
-    assert trees[True].root_hash == trees[False].root_hash
+    assert trees["engine"].root_hash == trees["naive"].root_hash
 
 
 @pytest.mark.parametrize("scheme", [ONE_SIGNATURE, MULTI_SIGNATURE])
 def test_vos_and_client_verdicts_identical_end_to_end(scheme):
     """Same queries against both builds: identical VOs, both verify."""
     workload = WorkloadConfig(n_records=25, dimension=1, seed=1)
-    dataset, template = make_dataset(workload), make_template(workload)
+    owner = DataOwner(
+        make_dataset(workload),
+        make_template(workload),
+        config=SystemConfig(scheme=scheme, signature_algorithm="hmac"),
+        rng=random.Random(9),
+    )
     queries = [
         TopKQuery(weights=(0.3,), k=4),
         RangeQuery(weights=(0.7,), low=2.0, high=6.0),
     ]
-    executions = {}
-    for hash_consing in (False, True):
-        owner = DataOwner(
-            dataset,
-            template,
-            scheme=scheme,
-            signature_algorithm="hmac",
-            hash_consing=hash_consing,
-            rng=random.Random(9),
-        )
-        server = Server(owner.outsource())
-        client = Client(owner.public_parameters())
-        executions[hash_consing] = []
-        for query in queries:
-            execution = server.execute(query)
-            report = client.verify(query, execution.result, execution.verification_object)
-            assert report.is_valid, report.failures
-            executions[hash_consing].append(execution)
-    for naive, consed in zip(executions[False], executions[True]):
-        assert consed.result.records == naive.result.records
-        assert consed.verification_object == naive.verification_object
+    assert_queries_bit_identical(
+        naive_reference_pair(owner),
+        (Server(owner.outsource()), Client(owner.public_parameters())),
+        queries,
+    )
 
 
 def test_duplicate_record_ids_raise_construction_error(univariate_template):
@@ -145,11 +135,12 @@ def test_property_cached_and_uncached_builds_agree(rows):
         domain=Domain(lower=(0.0,), upper=(1.0,)),
         constant_attribute="baseline",
     )
-    trees, counters = _build_pair(dataset, template)
-    assert trees[True].root_hash == trees[False].root_hash
-    for a, b in zip(trees[True].itree.leaves(), trees[False].itree.leaves()):
+    trees, counters = naive_and_engine_builds(dataset, template)
+    assert trees["engine"].root_hash == trees["naive"].root_hash
+    for a, b in zip(trees["engine"].itree.leaves(), trees["naive"].itree.leaves()):
         assert a.hash_value == b.hash_value
-    assert counters[True].hash_operations == counters[False].hash_operations
+    assert counters["engine"].hash_operations == counters["naive"].hash_operations
     assert (
-        counters[True].physical_hash_operations <= counters[False].physical_hash_operations
+        counters["engine"].physical_hash_operations
+        <= counters["naive"].physical_hash_operations
     )

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.core.config import SystemConfig
 from repro.core.queries import KNNQuery, RangeQuery, TopKQuery
 from repro.core.results import QueryResult
 from repro.crypto.signer import make_signer
@@ -19,7 +20,10 @@ from repro.queryproc.window import select_window
 def setup(univariate_dataset, univariate_template, hmac_keypair):
     trees = {
         mode: IFMHTree(
-            univariate_dataset, univariate_template, mode=mode, signer=hmac_keypair.signer
+            univariate_dataset,
+            univariate_template,
+            config=SystemConfig(scheme=mode),
+            signer=hmac_keypair.signer,
         )
         for mode in (ONE_SIGNATURE, MULTI_SIGNATURE)
     }
@@ -183,9 +187,8 @@ def test_paper_faithful_hash_rule_still_verifies_honest_results(
     tree = IFMHTree(
         univariate_dataset,
         univariate_template,
-        mode=ONE_SIGNATURE,
+        config=SystemConfig(scheme=ONE_SIGNATURE, bind_intersections=False),
         signer=hmac_keypair.signer,
-        bind_intersections=False,
     )
     query = TopKQuery(weights=(0.3,), k=3)
     result, vo = _execute(tree, query)

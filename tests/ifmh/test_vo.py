@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import SystemConfig
 from repro.ifmh.ifmh_tree import IFMHTree, MULTI_SIGNATURE, ONE_SIGNATURE
 from repro.ifmh.vo import (
     VerificationObject,
@@ -15,10 +16,16 @@ from repro.queryproc.window import ResultWindow
 @pytest.fixture()
 def trees(univariate_dataset, univariate_template, hmac_keypair):
     one = IFMHTree(
-        univariate_dataset, univariate_template, mode=ONE_SIGNATURE, signer=hmac_keypair.signer
+        univariate_dataset,
+        univariate_template,
+        config=SystemConfig(scheme=ONE_SIGNATURE),
+        signer=hmac_keypair.signer,
     )
     multi = IFMHTree(
-        univariate_dataset, univariate_template, mode=MULTI_SIGNATURE, signer=hmac_keypair.signer
+        univariate_dataset,
+        univariate_template,
+        config=SystemConfig(scheme=MULTI_SIGNATURE),
+        signer=hmac_keypair.signer,
     )
     return one, multi
 
@@ -112,7 +119,12 @@ def test_vo_sizes_positive_and_one_larger_than_multi(trees):
 def test_unsigned_tree_cannot_build_multi_vo(univariate_dataset, univariate_template):
     from repro.core.errors import QueryProcessingError
 
-    tree = IFMHTree(univariate_dataset, univariate_template, mode=MULTI_SIGNATURE, signer=None)
+    tree = IFMHTree(
+        univariate_dataset,
+        univariate_template,
+        config=SystemConfig(scheme=MULTI_SIGNATURE),
+        signer=None,
+    )
     trace, window = _window(tree, (0.45,), 0, 2)
     with pytest.raises(QueryProcessingError):
         build_verification_object(tree, trace, window)

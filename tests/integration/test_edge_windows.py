@@ -9,6 +9,7 @@ execution, VO construction, client verification) in both IFMH modes.
 
 import pytest
 
+from repro.core.config import SystemConfig
 from repro.core.queries import KNNQuery, RangeQuery, TopKQuery
 from repro.core.protocol import OutsourcedSystem
 from repro.core.records import Dataset, UtilityTemplate
@@ -27,7 +28,7 @@ def _system(rows, scheme):
         constant_attribute="baseline",
     )
     return OutsourcedSystem.setup(
-        dataset, template, scheme=scheme, signature_algorithm="hmac"
+        dataset, template, config=SystemConfig(scheme=scheme, signature_algorithm="hmac")
     )
 
 

@@ -13,6 +13,7 @@ import random
 import pytest
 
 from repro.attacks import all_attacks
+from repro.core.config import SystemConfig
 from repro.core.owner import DataOwner, SCHEMES
 from repro.core.client import Client
 from repro.core.protocol import OutsourcedSystem
@@ -35,7 +36,9 @@ def systems(workload, rsa_keypair):
     dataset, template = workload
     built = {}
     for scheme in SCHEMES:
-        owner = DataOwner(dataset, template, scheme=scheme, keypair=rsa_keypair)
+        owner = DataOwner(
+            dataset, template, config=SystemConfig(scheme=scheme), keypair=rsa_keypair
+        )
         built[scheme] = OutsourcedSystem(
             owner=owner, server=Server(owner.outsource()), client=Client(owner.public_parameters())
         )
@@ -128,7 +131,9 @@ def test_bivariate_pipeline_with_lp_engine(rsa_keypair):
     dataset = Dataset.from_rows(("gpa", "award", "paper"), rows)
     template = UtilityTemplate(attributes=("gpa", "award"))
     for scheme in SCHEMES:
-        owner = DataOwner(dataset, template, scheme=scheme, keypair=rsa_keypair)
+        owner = DataOwner(
+            dataset, template, config=SystemConfig(scheme=scheme), keypair=rsa_keypair
+        )
         system = OutsourcedSystem(
             owner=owner, server=Server(owner.outsource()), client=Client(owner.public_parameters())
         )

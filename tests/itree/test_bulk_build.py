@@ -10,7 +10,8 @@ from repro.geometry.arrangement import build_arrangement, univariate_breakpoints
 from repro.geometry.domain import Domain
 from repro.geometry.engine import IntervalEngine, LPEngine
 from repro.geometry.functions import LinearFunction
-from repro.itree.itree import ITree, _median_first_order
+from repro.itree.itree import ITree
+from repro.reference import balanced_incremental_itree, median_first_order
 
 
 def _univariate_functions(count, seed=0):
@@ -76,7 +77,7 @@ def test_bulk_matches_arrangement(functions, domain):
 def test_bulk_identical_to_balanced_incremental(functions, domain):
     """Direct assembly reproduces the BFS insertion fed the same order, bit for bit."""
     bulk = ITree(functions, domain, builder="bulk")
-    reference = ITree(functions, domain, builder="balanced-incremental")
+    reference = balanced_incremental_itree(functions, domain)
     assert _structure(bulk.root) == _structure(reference.root)
 
 
@@ -177,7 +178,7 @@ def test_univariate_breakpoints_match_pairwise_loop(functions):
 
 def test_median_first_order_covers_all_indices():
     for count in (0, 1, 2, 7, 16):
-        order = _median_first_order(count)
+        order = median_first_order(count)
         assert sorted(order) == list(range(count))
 
 

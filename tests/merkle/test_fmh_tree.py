@@ -151,30 +151,3 @@ def test_root_from_window_rejects_single_shifted_boundary(tree, records):
     drifted = BoundaryEntry(leaf_index=right.leaf_index + 1, item=records[6])
     with pytest.raises(ValueError, match="does not anchor"):
         FMHTree.root_from_window(records[2:5], left, drifted, proof)
-
-
-def test_engine_built_tree_is_bit_identical(records):
-    from repro.merkle.engine import MerkleBuildEngine
-
-    engine = MerkleBuildEngine()
-    plain = FMHTree(records)
-    consed = FMHTree(records, engine=engine)
-    rebuilt = FMHTree(records, engine=engine)  # warm tables
-    assert consed.root == plain.root
-    assert consed.tree.levels == plain.tree.levels
-    assert rebuilt.tree.levels == plain.tree.levels
-    window = ResultWindow(start=2, end=4, size=len(records))
-    assert consed.window_proof(window) == plain.window_proof(window)
-
-
-def test_engine_skips_physical_hashing_on_rebuild(records):
-    from repro.merkle.engine import MerkleBuildEngine
-    from repro.metrics.counters import Counters
-
-    engine = MerkleBuildEngine()
-    cold, warm = Counters(), Counters()
-    FMHTree(records, hash_function=HashFunction(cold), engine=engine)
-    FMHTree(records, hash_function=HashFunction(warm), engine=engine)
-    assert warm.hash_operations == cold.hash_operations
-    assert cold.physical_hash_operations == cold.hash_operations
-    assert warm.physical_hash_operations == 0  # everything served from the tables

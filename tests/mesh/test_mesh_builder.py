@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import SystemConfig
 from repro.core.errors import ConstructionError
 from repro.core.records import Dataset
 from repro.geometry.arrangement import build_arrangement
@@ -21,7 +22,7 @@ def unshared_mesh(univariate_dataset, univariate_template, hmac_keypair):
         univariate_dataset,
         univariate_template,
         signer=hmac_keypair.signer,
-        share_signatures=False,
+        config=SystemConfig(share_signatures=False),
     )
 
 

@@ -1,12 +1,15 @@
 """The level-order batched engine must be observationally invisible.
 
-These tests compare full IFMH builds with batching on vs off (both through
-the shared-structure engine, PR 2's node-at-a-time path as the reference):
-roots, per-subdomain FMH roots and levels, subdomain digests, verification
-objects and client verdicts must be bit-identical, and *both* hash counters
--- logical (what Fig. 5a/7a report) and physical (what actually ran) --
-must be equal: batching changes how the hashes are scheduled, not which
-hashes exist.
+These tests compare full IFMH builds through the batched forest engine with
+the naive reference (:func:`repro.reference.naive_ifmh_tree`, one list-based
+FMH-tree per subdomain): roots, per-subdomain FMH roots and levels,
+subdomain digests, verification objects and client verdicts must be
+bit-identical and the *logical* hash counters (what Fig. 5a/7a report)
+equal.  The engine's node statistics -- interned leaves and distinct
+internal nodes, which is what it hashes physically -- must equal the node
+counts of the naive forest folded into one arena by value
+(:func:`repro.reference.arena_from_level_trees`): batching changes how the
+hashes are scheduled, not which hashes exist.
 """
 
 import random
@@ -16,107 +19,89 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.client import Client
+from repro.core.config import SystemConfig
 from repro.core.owner import DataOwner
 from repro.core.queries import KNNQuery, RangeQuery, TopKQuery
 from repro.core.records import Dataset, UtilityTemplate
 from repro.core.server import Server
 from repro.crypto.hashing import HashFunction, sha256
 from repro.geometry.domain import Domain
-from repro.ifmh.ifmh_tree import IFMHTree, MULTI_SIGNATURE, ONE_SIGNATURE
-from repro.merkle.arena import ArenaMerkleTree, ForestHasher, arena_from_level_trees
+from repro.ifmh.ifmh_tree import MULTI_SIGNATURE, ONE_SIGNATURE
+from repro.merkle.arena import ArenaMerkleTree, ForestHasher
 from repro.merkle.mh_tree import MerkleTree
-from repro.metrics.counters import Counters
+from repro.reference import arena_from_level_trees
 from repro.workloads.generator import WorkloadConfig, make_dataset, make_template
 
+from tests.helpers import (
+    assert_queries_bit_identical,
+    naive_and_engine_builds,
+    naive_reference_pair,
+)
 
-def _build_pair(dataset, template, mode=ONE_SIGNATURE, **kwargs):
-    """The same IFMH built node-at-a-time and through the batched engine."""
-    trees, counters = {}, {}
-    for batch_hashing in (False, True):
-        counter = Counters()
-        trees[batch_hashing] = IFMHTree(
-            dataset,
-            template,
-            mode=mode,
-            counters=counter,
-            hash_consing=True,
-            batch_hashing=batch_hashing,
-            **kwargs,
-        )
-        counters[batch_hashing] = counter
-    return trees, counters
+
+def _assert_identical(trees, counters):
+    """Roots, FMH levels and logical counts equal; engine stats match the naive forest."""
+    naive, batched = trees["naive"], trees["engine"]
+    assert batched.root_hash == naive.root_hash
+    for a, b in zip(batched.itree.leaves(), naive.itree.leaves()):
+        assert a.hash_value == b.hash_value
+        assert a.fmh_tree.tree.levels == b.fmh_tree.tree.levels
+    assert counters["engine"].hash_operations == counters["naive"].hash_operations
+    arena, _roots = arena_from_level_trees(
+        [leaf.fmh_tree.tree for leaf in naive.itree.leaves()]
+    )
+    stats = batched.merkle_engine_stats
+    assert stats["leaf_pool_entries"] == int(np.count_nonzero(arena.left < 0))
+    assert stats["distinct_internal_nodes"] == int(np.count_nonzero(arena.left >= 0))
 
 
 @pytest.mark.parametrize("mode", [ONE_SIGNATURE, MULTI_SIGNATURE])
 def test_roots_digests_levels_and_counters_identical(
     univariate_dataset, univariate_template, mode
 ):
-    trees, counters = _build_pair(univariate_dataset, univariate_template, mode=mode)
-    node, batched = trees[False], trees[True]
-    assert batched.root_hash == node.root_hash
-    for a, b in zip(batched.itree.leaves(), node.itree.leaves()):
-        assert a.hash_value == b.hash_value
-        assert a.fmh_tree.tree.levels == b.fmh_tree.tree.levels
-    # Digest the subdomains only after snapshotting the build counters.
-    assert counters[True].hash_operations == counters[False].hash_operations
-    assert (
-        counters[True].physical_hash_operations == counters[False].physical_hash_operations
-    ), "batching must not change which hashes physically run"
-    for a, b in zip(batched.itree.leaves(), node.itree.leaves()):
-        assert batched.subdomain_digest(a) == node.subdomain_digest(b)
-    assert batched.merkle_engine_stats == node.merkle_engine_stats
+    trees, counters = naive_and_engine_builds(
+        univariate_dataset, univariate_template, scheme=mode
+    )
+    _assert_identical(trees, counters)
+    naive, batched = trees["naive"], trees["engine"]
+    for a, b in zip(batched.itree.leaves(), naive.itree.leaves()):
+        assert batched.subdomain_digest(a) == naive.subdomain_digest(b)
 
 
 def test_incremental_builder_also_batches(univariate_dataset, univariate_template):
     """The batched path covers the paper's incremental I-tree too."""
-    trees, counters = _build_pair(
+    trees, counters = naive_and_engine_builds(
         univariate_dataset, univariate_template, build_mode="incremental"
     )
-    assert trees[True].root_hash == trees[False].root_hash
-    assert counters[True].hash_operations == counters[False].hash_operations
-    assert counters[True].physical_hash_operations == counters[False].physical_hash_operations
+    _assert_identical(trees, counters)
 
 
 def test_multivariate_lp_path_also_batches(applicant_dataset, bivariate_template):
     """d >= 2 (LP engine, incremental insertion): still bit-identical."""
-    trees, counters = _build_pair(applicant_dataset, bivariate_template)
-    assert trees[True].root_hash == trees[False].root_hash
-    assert counters[True].hash_operations == counters[False].hash_operations
-    assert counters[True].physical_hash_operations == counters[False].physical_hash_operations
+    trees, counters = naive_and_engine_builds(applicant_dataset, bivariate_template)
+    _assert_identical(trees, counters)
 
 
 @pytest.mark.parametrize("scheme", [ONE_SIGNATURE, MULTI_SIGNATURE])
 def test_vos_and_client_verdicts_identical_end_to_end(scheme):
     """Same queries against both builds: identical VOs, both verify."""
     workload = WorkloadConfig(n_records=25, dimension=1, seed=2)
-    dataset, template = make_dataset(workload), make_template(workload)
+    owner = DataOwner(
+        make_dataset(workload),
+        make_template(workload),
+        config=SystemConfig(scheme=scheme, signature_algorithm="hmac"),
+        rng=random.Random(17),
+    )
     queries = [
         TopKQuery(weights=(0.4,), k=5),
         RangeQuery(weights=(0.6,), low=1.0, high=7.0),
         KNNQuery(weights=(0.2,), k=3, target=4.0),
     ]
-    executions = {}
-    for batch_hashing in (False, True):
-        owner = DataOwner(
-            dataset,
-            template,
-            scheme=scheme,
-            signature_algorithm="hmac",
-            hash_consing=True,
-            batch_hashing=batch_hashing,
-            rng=random.Random(17),
-        )
-        server = Server(owner.outsource())
-        client = Client(owner.public_parameters())
-        executions[batch_hashing] = []
-        for query in queries:
-            execution = server.execute(query)
-            report = client.verify(query, execution.result, execution.verification_object)
-            assert report.is_valid, report.failures
-            executions[batch_hashing].append(execution)
-    for node, batched in zip(executions[False], executions[True]):
-        assert batched.result.records == node.result.records
-        assert batched.verification_object == node.verification_object
+    assert_queries_bit_identical(
+        naive_reference_pair(owner),
+        (Server(owner.outsource()), Client(owner.public_parameters())),
+        queries,
+    )
 
 
 @given(
@@ -134,7 +119,7 @@ def test_vos_and_client_verdicts_identical_end_to_end(scheme):
     )
 )
 @settings(max_examples=25, deadline=None)
-def test_property_batched_and_node_builds_agree(rows):
+def test_property_batched_and_naive_builds_agree(rows):
     """Adversarial leaf counts and tied slopes: batching stays invisible.
 
     The leaf counts ``len(rows) + 2`` sweep through every odd-carry shape
@@ -148,13 +133,8 @@ def test_property_batched_and_node_builds_agree(rows):
         domain=Domain(lower=(0.0,), upper=(1.0,)),
         constant_attribute="baseline",
     )
-    trees, counters = _build_pair(dataset, template)
-    assert trees[True].root_hash == trees[False].root_hash
-    for a, b in zip(trees[True].itree.leaves(), trees[False].itree.leaves()):
-        assert a.hash_value == b.hash_value
-        assert a.fmh_tree.tree.levels == b.fmh_tree.tree.levels
-    assert counters[True].hash_operations == counters[False].hash_operations
-    assert counters[True].physical_hash_operations == counters[False].physical_hash_operations
+    trees, counters = naive_and_engine_builds(dataset, template)
+    _assert_identical(trees, counters)
 
 
 def _draw_range(data, leaf_count):
@@ -203,7 +183,7 @@ def test_property_forest_matches_per_tree_merkle_builds(leaf_count, tree_count, 
 )
 @settings(max_examples=40, deadline=None)
 def test_property_level_tree_arena_proofs_match_merkle_tree(leaf_counts, data):
-    """Trees re-encoded by value (non-batched builds at publish) prove the same."""
+    """Trees folded into an arena by value (the reference) prove the same."""
     payloads = [b"payload-%d" % i for i in range(6)]
     trees = [
         MerkleTree(
@@ -226,20 +206,18 @@ def test_property_level_tree_arena_proofs_match_merkle_tree(leaf_counts, data):
 def test_thousand_record_end_to_end_smoke():
     """n = 1000: batched construction, query processing and verification.
 
-    The full node-at-a-time comparison at this scale lives in
-    ``python -m repro.bench --scale``; this smoke proves the batched ADS
-    itself serves verifiable queries at thousand-record scale.
+    A naive reference build at this scale takes minutes; this smoke proves
+    the batched ADS itself serves verifiable queries at thousand-record
+    scale.
     """
     workload = WorkloadConfig(n_records=1000, dimension=1, seed=0)
     dataset, template = make_dataset(workload), make_template(workload)
     owner = DataOwner(
         dataset,
         template,
-        scheme=ONE_SIGNATURE,
-        signature_algorithm="hmac",
+        config=SystemConfig(scheme=ONE_SIGNATURE, signature_algorithm="hmac"),
         rng=random.Random(3),
     )
-    assert owner.ads.batch_hashing
     server = Server(owner.outsource())
     client = Client(owner.public_parameters())
     queries = [

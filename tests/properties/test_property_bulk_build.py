@@ -8,16 +8,19 @@ Two properties back the bulk fast path:
 * the assembled tree -- and therefore the IFMH **root hash** and every
   multi-signature subdomain digest -- is bit-identical to what the
   incremental BFS builder produces when fed the same hyperplanes in the
-  bulk path's balanced (median-first) order.
+  bulk path's balanced (median-first) order
+  (:func:`repro.reference.naive_ifmh_tree` with ``balanced_incremental``).
 """
 
 import random
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.config import SystemConfig
 from repro.core.records import Dataset, UtilityTemplate
 from repro.geometry.domain import Domain
 from repro.ifmh.ifmh_tree import IFMHTree, MULTI_SIGNATURE
+from repro.reference import naive_ifmh_tree
 
 DOMAIN = Domain(lower=(0.0,), upper=(1.0,))
 
@@ -34,20 +37,23 @@ TEMPLATE = UtilityTemplate(
     attributes=("factor",), domain=DOMAIN, constant_attribute="baseline"
 )
 
+BULK = SystemConfig(build_mode="bulk")
+INCREMENTAL = SystemConfig(build_mode="incremental")
+
 
 @given(dataset=datasets)
 @settings(max_examples=30, deadline=None)
 def test_bulk_root_hash_bit_identical_to_incremental_reference(dataset):
-    bulk = IFMHTree(dataset, TEMPLATE, build_mode="bulk")
-    reference = IFMHTree(dataset, TEMPLATE, build_mode="balanced-incremental")
+    bulk = IFMHTree(dataset, TEMPLATE, config=BULK)
+    reference = naive_ifmh_tree(dataset, TEMPLATE, balanced_incremental=True)
     assert bulk.root_hash == reference.root_hash
 
 
 @given(dataset=datasets)
 @settings(max_examples=30, deadline=None)
 def test_bulk_partition_matches_default_incremental(dataset):
-    bulk = IFMHTree(dataset, TEMPLATE, build_mode="bulk")
-    incremental = IFMHTree(dataset, TEMPLATE, build_mode="incremental")
+    bulk = IFMHTree(dataset, TEMPLATE, config=BULK)
+    incremental = IFMHTree(dataset, TEMPLATE, config=INCREMENTAL)
 
     def partition(tree):
         return sorted(
@@ -65,10 +71,9 @@ def test_bulk_partition_matches_default_incremental(dataset):
 @given(dataset=datasets)
 @settings(max_examples=15, deadline=None)
 def test_bulk_multi_signature_digests_bit_identical(dataset):
-    bulk = IFMHTree(dataset, TEMPLATE, mode=MULTI_SIGNATURE, build_mode="bulk")
-    reference = IFMHTree(
-        dataset, TEMPLATE, mode=MULTI_SIGNATURE, build_mode="balanced-incremental"
-    )
+    config = SystemConfig(scheme=MULTI_SIGNATURE, build_mode="bulk")
+    bulk = IFMHTree(dataset, TEMPLATE, config=config)
+    reference = naive_ifmh_tree(dataset, TEMPLATE, config=config, balanced_incremental=True)
     bulk_digests = sorted(bulk.subdomain_digest(leaf) for leaf in bulk.itree.leaves())
     ref_digests = sorted(
         reference.subdomain_digest(leaf) for leaf in reference.itree.leaves()
@@ -82,8 +87,8 @@ def test_bulk_root_hash_on_randomized_datasets():
         rng = random.Random(seed)
         rows = [(rng.uniform(-4, 4), rng.uniform(0, 9)) for _ in range(n_records)]
         dataset = Dataset.from_rows(("factor", "baseline"), rows)
-        bulk = IFMHTree(dataset, TEMPLATE, build_mode="bulk")
-        reference = IFMHTree(dataset, TEMPLATE, build_mode="balanced-incremental")
+        bulk = IFMHTree(dataset, TEMPLATE, config=BULK)
+        reference = naive_ifmh_tree(dataset, TEMPLATE, balanced_incremental=True)
         assert bulk.root_hash == reference.root_hash
-        incremental = IFMHTree(dataset, TEMPLATE, build_mode="incremental")
+        incremental = IFMHTree(dataset, TEMPLATE, config=INCREMENTAL)
         assert bulk.subdomain_count == incremental.subdomain_count

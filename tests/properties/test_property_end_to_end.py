@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.config import SystemConfig
 from repro.core.protocol import OutsourcedSystem
 from repro.core.queries import KNNQuery, RangeQuery, TopKQuery
 from repro.core.records import Dataset, UtilityTemplate
@@ -27,7 +28,9 @@ weights = st.floats(min_value=0.01, max_value=0.99, allow_nan=False)
 
 def _systems(dataset):
     return [
-        OutsourcedSystem.setup(dataset, TEMPLATE, scheme=scheme, signature_algorithm="hmac")
+        OutsourcedSystem.setup(
+            dataset, TEMPLATE, config=SystemConfig(scheme=scheme, signature_algorithm="hmac")
+        )
         for scheme in ("one-signature", "multi-signature", "signature-mesh")
     ]
 

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.client import Client
+from repro.core.config import SystemConfig
 from repro.core.owner import DataOwner
 from repro.core.queries import KNNQuery, RangeQuery, TopKQuery
 from repro.core.records import Dataset, UtilityTemplate
@@ -55,10 +56,7 @@ def _system(rows, mode, workers):
     owner = DataOwner(
         dataset,
         template,
-        scheme=mode,
-        signature_algorithm="hmac",
-        hash_consing=True,
-        batch_hashing=True,
+        config=SystemConfig(scheme=mode, signature_algorithm="hmac"),
         construction_workers=workers,
         rng=random.Random(11),
     )

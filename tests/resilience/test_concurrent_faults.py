@@ -12,6 +12,7 @@ import threading
 
 import pytest
 
+from repro.core.config import SystemConfig
 from repro.core.errors import QueryProcessingError
 from repro.core.protocol import OutsourcedSystem
 from repro.core.queries import TopKQuery
@@ -28,8 +29,7 @@ def system(univariate_dataset, univariate_template):
     return OutsourcedSystem.setup(
         univariate_dataset,
         univariate_template,
-        scheme="one-signature",
-        signature_algorithm="hmac",
+        config=SystemConfig(scheme="one-signature", signature_algorithm="hmac"),
     )
 
 

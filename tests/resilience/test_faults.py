@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core.client import Client
+from repro.core.config import SystemConfig
 from repro.core.errors import QueryProcessingError
 from repro.core.protocol import OutsourcedSystem
 from repro.core.queries import RangeQuery, TopKQuery
@@ -24,8 +25,7 @@ def system(univariate_dataset, univariate_template):
     return OutsourcedSystem.setup(
         univariate_dataset,
         univariate_template,
-        scheme="one-signature",
-        signature_algorithm="hmac",
+        config=SystemConfig(scheme="one-signature", signature_algorithm="hmac"),
     )
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.client import Client
+from repro.core.config import SystemConfig
 from repro.core.errors import ConstructionError, InvalidQueryError
 from repro.core.protocol import OutsourcedSystem
 from repro.core.queries import TopKQuery
@@ -22,8 +23,7 @@ def system(univariate_dataset, univariate_template):
     return OutsourcedSystem.setup(
         univariate_dataset,
         univariate_template,
-        scheme="one-signature",
-        signature_algorithm="hmac",
+        config=SystemConfig(scheme="one-signature", signature_algorithm="hmac"),
     )
 
 

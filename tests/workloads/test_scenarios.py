@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import SystemConfig
 from repro.core.protocol import OutsourcedSystem
 from repro.workloads.scenarios import (
     admissions_scenario,
@@ -39,7 +40,9 @@ def test_scenario_is_deterministic(factory, size):
 def test_univariate_scenarios_run_end_to_end(factory, size):
     scenario = factory(size)
     system = OutsourcedSystem.setup(
-        scenario.dataset, scenario.template, scheme="one-signature", signature_algorithm="hmac"
+        scenario.dataset,
+        scenario.template,
+        config=SystemConfig(scheme="one-signature", signature_algorithm="hmac"),
     )
     for query in scenario.example_queries:
         execution, report = system.query_and_verify(query)
@@ -49,7 +52,9 @@ def test_univariate_scenarios_run_end_to_end(factory, size):
 def test_admissions_scenario_runs_end_to_end():
     scenario = admissions_scenario(10)
     system = OutsourcedSystem.setup(
-        scenario.dataset, scenario.template, scheme="multi-signature", signature_algorithm="hmac"
+        scenario.dataset,
+        scenario.template,
+        config=SystemConfig(scheme="multi-signature", signature_algorithm="hmac"),
     )
     query = scenario.example_queries[0]
     execution, report = system.query_and_verify(query)
