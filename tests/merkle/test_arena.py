@@ -177,3 +177,50 @@ def test_stats_shape_matches_node_engine():
     assert stats["leaf_pool_misses"] == 4
     assert stats["leaf_pool_hits"] == 2 * 4 - 4
     assert stats["distinct_internal_nodes"] == 3
+
+
+def test_interned_leaf_digests_match_direct_hash():
+    """The arena stores ``sha256(payload)`` at each interned leaf's index."""
+    payloads = _payloads(6)
+    hasher = ForestHasher()
+    indices = hasher.intern_leaves(payloads, HashFunction())
+    arena = hasher.finalize()
+    for payload, index in zip(payloads, indices):
+        assert arena.digest_bytes(int(index)) == sha256(payload)
+
+
+def test_distinct_objects_with_equal_bytes_share_a_node():
+    """Interning is by digest value, not by object identity."""
+    first = b"".join([b"re", b"cord"])
+    second = bytes(bytearray(b"record"))
+    assert first == second and first is not second
+    hasher = ForestHasher()
+    indices = hasher.intern_leaves([first, second, memoryview(b"record").tobytes()], HashFunction())
+    assert len(set(indices.tolist())) == 1
+    assert len(hasher.finalize()) == 1
+
+
+def test_leaves_interned_across_calls_share_nodes():
+    """A payload seen by an earlier call maps to the node it got then."""
+    hasher = ForestHasher()
+    hashes = HashFunction()
+    first = hasher.intern_leaves([b"a", b"b"], hashes)
+    second = hasher.intern_leaves([b"b", b"c"], hashes)
+    assert second[0] == first[1]
+    assert second[1] not in first.tolist()
+    # Every payload is digested (logically and physically) once per call.
+    assert hashes.call_count == hashes.physical_count == 4
+    assert len(hasher.finalize()) == 3
+
+
+def test_interned_digests_credit_the_first_forest_leaf_level():
+    """Leaf digests are counted once per (tree, leaf) slot, never twice."""
+    payloads = _payloads(4)
+    hashes = HashFunction()
+    hasher = ForestHasher()
+    indices = hasher.intern_leaves(payloads, hashes)
+    matrix = np.array([[int(i) for i in indices]] * 3, dtype=np.int64)
+    hasher.build_forest(matrix, hashes)
+    # 3 trees x (4 leaf digests + 3 combines); physically 4 leaves + 3 nodes.
+    assert hashes.call_count == 3 * (4 + 3)
+    assert hashes.physical_count == 4 + 3
