@@ -1,7 +1,7 @@
 """RL007: only tests and the benchmarks import the slow reference code.
 
 :mod:`repro.reference` holds the slow constructions -- the naive
-per-subdomain FMH build, the balanced-incremental I-tree, the by-value
+per-subdomain FMH build, the median-first incremental I-tree, the by-value
 arena re-encoding -- that the fast construction path is checked against.
 They are test oracles, not production options: an import of them from the
 owner, server or update path would make a slow path live again.  The rule

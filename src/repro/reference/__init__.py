@@ -7,9 +7,11 @@ signing (:class:`repro.ifmh.IFMHTree`).  The code here computes the same
 values the slow, obvious way, so tests and the ``--construction``
 benchmark can compare the two bit for bit:
 
-* :func:`naive_ifmh_tree` -- paper section 3.1 step by step: one
-  list-based :class:`~repro.merkle.fmh_tree.FMHTree` per subdomain, the
-  paper's stack-walk propagation, signing.  The result serves and verifies
+* :func:`naive_ifmh_tree` -- paper section 3.1 step by step: the I-tree
+  by incremental insertion (median-first where the configuration resolves
+  to the bulk builder), one list-based
+  :class:`~repro.merkle.fmh_tree.FMHTree` per subdomain, the paper's
+  stack-walk propagation, signing.  The result serves and verifies
   through :class:`~repro.core.server.Server` and
   :class:`~repro.core.client.Client` like a production tree.
 * :func:`balanced_incremental_itree` -- the paper's insertion fed the bulk

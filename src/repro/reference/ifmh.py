@@ -7,9 +7,8 @@ from typing import Optional
 from repro.core.config import SystemConfig
 from repro.core.errors import ConstructionError
 from repro.core.records import Dataset, UtilityTemplate
-from repro.crypto.hashing import HashFunction
 from repro.crypto.signer import Signer
-from repro.geometry.engine import SplitEngine
+from repro.geometry.engine import IntervalEngine
 from repro.ifmh.ifmh_tree import IFMHTree
 from repro.itree.itree import ITree
 from repro.merkle.fmh_tree import FMHTree
@@ -25,16 +24,16 @@ def naive_ifmh_tree(
     *,
     config: Optional[SystemConfig] = None,
     signer: Optional[Signer] = None,
-    hash_function: Optional[HashFunction] = None,
     counters: Optional[Counters] = None,
-    engine: Optional[SplitEngine] = None,
-    balanced_incremental: bool = False,
 ) -> IFMHTree:
     """An IFMH-tree built step by step, sharing nothing between subdomains.
 
-    Step 1 builds the I-tree under ``config.build_mode`` (or, with
-    ``balanced_incremental``, through :func:`balanced_incremental_itree`);
-    step 2 builds one list-based :class:`FMHTree` per subdomain, hashing
+    Step 1 builds the I-tree by the paper's incremental insertion: where
+    ``config`` resolves to the bulk builder (d = 1 with an interval
+    engine), in the bulk tree's median-first order
+    (:func:`balanced_incremental_itree`), so the bulk builder is checked
+    rather than reused; otherwise through ``ITree(builder=config.build_mode)``.
+    Step 2 builds one list-based :class:`FMHTree` per subdomain, hashing
     every leaf and node of it; step 3 is the paper's bottom-up stack walk
     and step 4 signs.  Roots, subdomain digests, verification objects,
     verdicts and the logical hash count equal those of
@@ -48,10 +47,15 @@ def naive_ifmh_tree(
     if not config.is_ifmh:
         raise ConstructionError(f"an IFMH-tree needs an IFMH scheme, got {config.scheme!r}")
     tree = IFMHTree.__new__(IFMHTree)
-    tree._init_common(dataset, template, config, counters, hash_function, signer)
-    engine = engine or config.make_engine(template.domain)
+    tree._init_common(dataset, template, config, counters, None, signer)
+    engine = config.make_engine(template.domain)
     functions = template.functions_for(dataset)
-    if balanced_incremental:
+    bulk = (
+        config.build_mode != "incremental"
+        and template.domain.dimension == 1
+        and isinstance(engine, IntervalEngine)
+    )
+    if bulk:
         tree.itree = balanced_incremental_itree(
             functions, template.domain, engine=engine, counters=tree.counters
         )

@@ -8,8 +8,10 @@ bit-identical and the *logical* hash counters (what Fig. 5a/7a report)
 equal.  The engine's node statistics -- interned leaves and distinct
 internal nodes, which is what it hashes physically -- must equal the node
 counts of the naive forest folded into one arena by value
-(:func:`repro.reference.arena_from_level_trees`): batching changes how the
-hashes are scheduled, not which hashes exist.
+(:func:`repro.reference.arena_from_level_trees`), and its *physical* hash
+counter must equal those counts plus one propagation hash per I-tree
+intersection node: batching changes how the hashes are scheduled, not which
+hashes exist.
 """
 
 import random
@@ -40,7 +42,12 @@ from tests.helpers import (
 
 
 def _assert_identical(trees, counters):
-    """Roots, FMH levels and logical counts equal; engine stats match the naive forest."""
+    """Roots, FMH levels and logical counts equal; engine stats match the naive forest.
+
+    The builds are unsigned, so the engine's physical hashes are its
+    interned leaves, its distinct internal nodes and one hash per I-tree
+    intersection node (the propagation): the counter must equal that sum.
+    """
     naive, batched = trees["naive"], trees["engine"]
     assert batched.root_hash == naive.root_hash
     for a, b in zip(batched.itree.leaves(), naive.itree.leaves()):
@@ -53,6 +60,10 @@ def _assert_identical(trees, counters):
     stats = batched.merkle_engine_stats
     assert stats["leaf_pool_entries"] == int(np.count_nonzero(arena.left < 0))
     assert stats["distinct_internal_nodes"] == int(np.count_nonzero(arena.left >= 0))
+    intersections = sum(1 for node in naive.itree.root.iter_subtree() if node.is_intersection)
+    assert counters["engine"].physical_hash_operations == (
+        stats["leaf_pool_entries"] + stats["distinct_internal_nodes"] + intersections
+    )
 
 
 @pytest.mark.parametrize("mode", [ONE_SIGNATURE, MULTI_SIGNATURE])

@@ -9,7 +9,8 @@ Two properties back the bulk fast path:
   multi-signature subdomain digest -- is bit-identical to what the
   incremental BFS builder produces when fed the same hyperplanes in the
   bulk path's balanced (median-first) order
-  (:func:`repro.reference.naive_ifmh_tree` with ``balanced_incremental``).
+  (:func:`repro.reference.naive_ifmh_tree`, which builds that order for
+  every configuration that resolves to the bulk builder).
 """
 
 import random
@@ -45,7 +46,7 @@ INCREMENTAL = SystemConfig(build_mode="incremental")
 @settings(max_examples=30, deadline=None)
 def test_bulk_root_hash_bit_identical_to_incremental_reference(dataset):
     bulk = IFMHTree(dataset, TEMPLATE, config=BULK)
-    reference = naive_ifmh_tree(dataset, TEMPLATE, balanced_incremental=True)
+    reference = naive_ifmh_tree(dataset, TEMPLATE)
     assert bulk.root_hash == reference.root_hash
 
 
@@ -73,7 +74,7 @@ def test_bulk_partition_matches_default_incremental(dataset):
 def test_bulk_multi_signature_digests_bit_identical(dataset):
     config = SystemConfig(scheme=MULTI_SIGNATURE, build_mode="bulk")
     bulk = IFMHTree(dataset, TEMPLATE, config=config)
-    reference = naive_ifmh_tree(dataset, TEMPLATE, config=config, balanced_incremental=True)
+    reference = naive_ifmh_tree(dataset, TEMPLATE, config=config)
     bulk_digests = sorted(bulk.subdomain_digest(leaf) for leaf in bulk.itree.leaves())
     ref_digests = sorted(
         reference.subdomain_digest(leaf) for leaf in reference.itree.leaves()
@@ -88,7 +89,7 @@ def test_bulk_root_hash_on_randomized_datasets():
         rows = [(rng.uniform(-4, 4), rng.uniform(0, 9)) for _ in range(n_records)]
         dataset = Dataset.from_rows(("factor", "baseline"), rows)
         bulk = IFMHTree(dataset, TEMPLATE, config=BULK)
-        reference = naive_ifmh_tree(dataset, TEMPLATE, balanced_incremental=True)
+        reference = naive_ifmh_tree(dataset, TEMPLATE)
         assert bulk.root_hash == reference.root_hash
         incremental = IFMHTree(dataset, TEMPLATE, config=INCREMENTAL)
         assert bulk.subdomain_count == incremental.subdomain_count
