@@ -131,8 +131,11 @@ def build_comparison(n_records: int = 200, seed: int = 0, repeats: int = 3) -> E
             tree = ITree(functions, template.domain, builder=builder)
             best_seconds = min(best_seconds, time.perf_counter() - started)
         timings[builder] = best_seconds
+        leaves = list(tree.leaves())
+        for leaf in leaves:
+            tree.materialize_leaf(leaf)  # bulk leaves fill their region on first use
         partitions[builder] = sorted(
-            (leaf.region.interval_low, leaf.region.interval_high) for leaf in tree.leaves()
+            (leaf.region.interval_low, leaf.region.interval_high) for leaf in leaves
         )
         result.add_row(
             builder=builder,

@@ -9,8 +9,9 @@ Four phases, one per serving claim:
    worker count.
 
 2. **Throughput scaling** -- the same unpaced (saturation) trace is pushed
-   through a single-worker and an N-worker front-end; N workers must clear
-   a throughput floor over one.  The floor is **hardware-scaled**: workers
+   through a single-worker and an N-worker front-end, one pass of each
+   per round; the round with the median N-over-one ratio must clear a
+   throughput floor.  The floor is **hardware-scaled**: workers
    are OS processes, so the achievable speedup is bounded by physical
    cores, not by the worker count.  With ``effective = min(workers,
    available_cores())`` -- the affinity-aware core count of
@@ -103,6 +104,13 @@ SERVE_P99_BOUND = 1.0
 #: single-worker saturation throughput.
 SINGLE_CORE_OVERHEAD_FLOOR = 0.5
 
+#: Timed rounds of the throughput phase (odd, so one round is the
+#: median); a round is one saturation pass of each front-end shape, back
+#: to back.  One pass of the smoke trace lasts about 10 ms, short enough
+#: that one scheduler stall on a shared host decides it, so the gate reads
+#: the round with the median ratio.
+SATURATION_ROUNDS = 15
+
 #: Hot/cold weight-vector skew of the generated workload.
 SERVE_HOT_VECTORS = 4
 SERVE_COLD_VECTORS = 24
@@ -185,29 +193,48 @@ def _determinism_phase(setup: Dict[str, object], config: TrafficConfig) -> Dict[
     }
 
 
-def _saturation_rate(
-    artifact_path: str, workers: int, trace, timeout: float
-) -> Tuple[float, int]:
-    """Unpaced saturation throughput (completed/s) of one front-end shape."""
-    with ServingFrontEnd(artifact_path, workers=workers) as frontend:
-        tickets = run_trace(frontend, trace, paced=False)
-        frontend.drain(tickets, timeout=timeout)
-        recorder = LatencyRecorder()
-        recorder.observe_all(tickets)
-        summary = recorder.summary()
-        return float(summary["achieved_rate"]), int(summary["completed"])
+def _saturation_rate(frontend: ServingFrontEnd, trace, timeout: float) -> Tuple[float, int]:
+    """Unpaced saturation throughput (completed/s) of one pass of the trace."""
+    tickets = run_trace(frontend, trace, paced=False)
+    frontend.drain(tickets, timeout=timeout)
+    recorder = LatencyRecorder()
+    recorder.observe_all(tickets)
+    summary = recorder.summary()
+    return float(summary["achieved_rate"]), int(summary["completed"])
 
 
 def _throughput_phase(
     setup: Dict[str, object], trace, workers: int, *, smoke: bool
 ) -> Dict[str, object]:
-    single_rate, single_done = _saturation_rate(setup["base_path"], 1, trace, 120.0)
-    multi_rate, multi_done = _saturation_rate(setup["base_path"], workers, trace, 120.0)
+    """Saturation throughput of ``workers`` workers over one worker.
+
+    Both front-ends stay up and take one untimed pass each, which moves
+    most first-touch leaf work out of the timed rounds.  Then each round
+    times one pass of each shape back to back, so a slow spell of the host
+    falls on both; the rates and ``speedup`` are those of the round with
+    the median ratio.  ``*_completed`` is the fewest queries one timed
+    pass completed.
+    """
+    rounds: List[Tuple[float, float, float]] = []
+    single_done = multi_done = len(trace.arrivals)
+    with ServingFrontEnd(setup["base_path"], workers=1) as single, ServingFrontEnd(
+        setup["base_path"], workers=workers
+    ) as multi:
+        _saturation_rate(single, trace, 120.0)
+        _saturation_rate(multi, trace, 120.0)
+        for _ in range(SATURATION_ROUNDS):
+            single_rate, done = _saturation_rate(single, trace, 120.0)
+            single_done = min(single_done, done)
+            multi_rate, done = _saturation_rate(multi, trace, 120.0)
+            multi_done = min(multi_done, done)
+            speedup = multi_rate / single_rate if single_rate > 0 else 0.0
+            rounds.append((speedup, single_rate, multi_rate))
+    speedup, single_rate, multi_rate = sorted(rounds)[len(rounds) // 2]
     floor = throughput_floor(workers, smoke=smoke)
-    speedup = multi_rate / single_rate if single_rate > 0 else 0.0
     return {
         "workers": workers,
         "cores": available_cores(),
+        "rounds": SATURATION_ROUNDS,
         "single_rate": single_rate,
         "multi_rate": multi_rate,
         "speedup": speedup,
@@ -266,8 +293,15 @@ def _churn_phase(
             swap_outcome["swapped"] = list(broadcast.swapped)
             swap_outcome["errors"] = list(broadcast.errors)
 
+        def inject_crash() -> None:
+            # Paced arrivals find the worker idle, so one query goes straight
+            # to it behind the crash message: the worker dies owing it and
+            # recovery has to requeue it to a live worker.
+            frontend.inject_crash(crash_worker)
+            frontend.execute_on(crash_worker, trace.arrivals[0].query)
+
         actions = {
-            len(trace) // 4: lambda: frontend.inject_crash(crash_worker),
+            len(trace) // 4: inject_crash,
             len(trace) // 2: inject_swap,
         }
         tickets = run_trace(frontend, trace, paced=True, actions=actions)
@@ -376,7 +410,8 @@ def run_serve(
     if not throughput["floor_met"]:
         failures.append(
             f"{throughput['workers']}-worker saturation throughput is only "
-            f"{throughput['speedup']:.2f}x one worker "
+            f"{throughput['speedup']:.2f}x one worker in the median of "
+            f"{throughput['rounds']} rounds "
             f"({throughput['multi_rate']:.0f} vs {throughput['single_rate']:.0f} q/s) "
             f"on {throughput['cores']} core(s); the hardware-scaled floor is "
             f"{throughput['floor']:.2f}x"

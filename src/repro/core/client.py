@@ -11,14 +11,20 @@ time -- is the paper's Fig. 7 metric and is recorded on the returned
 from __future__ import annotations
 
 import threading
+from numbers import Integral
 from typing import Iterable, List, Optional, Union
 
 from repro.core.owner import PublicParameters, SIGNATURE_MESH
 from repro.core.queries import AnalyticQuery
+from repro.core.records import Record
 from repro.core.results import QueryResult, VerificationReport
+from repro.geometry.domain import Constraint
+from repro.geometry.functions import Hyperplane
 from repro.ifmh.ifmh_tree import MULTI_SIGNATURE, ONE_SIGNATURE
 from repro.ifmh.verify import verify_result
-from repro.ifmh.vo import VerificationObject
+from repro.ifmh.vo import FunctionVO, IVStep, MultiSignatureIV, VerificationObject
+from repro.merkle.fmh_tree import BoundaryEntry
+from repro.merkle.mh_tree import RangeProof
 from repro.mesh.structures import MeshVerificationObject
 from repro.mesh.verify import verify_mesh_result
 from repro.metrics.counters import Counters
@@ -85,6 +91,11 @@ class Client:
                 report = VerificationReport()
                 report.record("vo-type", False, "expected an IFMH verification object")
                 return report
+            problem = _ifmh_structure_problem(verification_object)
+            if problem is not None:
+                report = VerificationReport()
+                report.record("vo-structure", False, f"malformed verification object: {problem}")
+                return report
             report = verify_result(
                 query,
                 result,
@@ -134,3 +145,68 @@ class Client:
             epoch=self.parameters.epoch,
         )
         return report
+
+
+def _ifmh_structure_problem(vo: VerificationObject) -> Optional[str]:
+    """Which part of an IFMH verification object has the wrong type, if any.
+
+    Verification reads the fields as the server sent them, so a field of
+    the wrong type (``None`` where a digest belongs, an int for a
+    signature) would raise inside it instead of failing a check.
+    """
+    fv = vo.fv
+    if not isinstance(fv, FunctionVO):
+        return "fv is not a function verification object"
+    for name, entry in (("fv.left", fv.left), ("fv.right", fv.right)):
+        if not (
+            isinstance(entry, BoundaryEntry)
+            and isinstance(entry.leaf_index, Integral)
+            and (entry.token is not None or isinstance(entry.item, Record))
+        ):
+            return f"{name} is not a boundary entry"
+    proof = fv.proof
+    if not (
+        isinstance(proof, RangeProof)
+        and all(isinstance(value, Integral) for value in (proof.start, proof.end, proof.leaf_count))
+        and isinstance(proof.supplements, (tuple, list))
+        and all(_is_supplement(entry) for entry in proof.supplements)
+    ):
+        return "fv.proof is not a range proof"
+    if vo.scheme == ONE_SIGNATURE:
+        steps = getattr(vo.one_signature_iv, "steps", None)
+        if not (isinstance(steps, (tuple, list)) and all(map(_is_step, steps))):
+            return "the search path is not a sequence of well-formed steps"
+        if not isinstance(vo.root_signature, bytes):
+            return "the root signature is not bytes"
+        return None
+    iv = vo.multi_signature_iv
+    if not (
+        isinstance(iv, MultiSignatureIV)
+        and isinstance(iv.constraints, (tuple, list))
+        and all(
+            isinstance(c, Constraint) and isinstance(c.hyperplane, Hyperplane)
+            for c in iv.constraints
+        )
+        and isinstance(iv.signature, bytes)
+    ):
+        return "the subdomain proof is malformed"
+    return None
+
+
+def _is_supplement(entry) -> bool:
+    return (
+        isinstance(entry, tuple)
+        and len(entry) == 3
+        and isinstance(entry[0], Integral)
+        and isinstance(entry[1], Integral)
+        and isinstance(entry[2], bytes)
+    )
+
+
+def _is_step(step) -> bool:
+    return (
+        isinstance(step, IVStep)
+        and isinstance(step.hyperplane, Hyperplane)
+        and isinstance(step.took_above, bool)
+        and isinstance(step.sibling_hash, bytes)
+    )

@@ -9,6 +9,12 @@ either once at the root (*one-signature*) or once per subdomain
 (*multi-signature*).  :func:`repro.reference.naive_ifmh_tree` builds the
 same tree one subdomain at a time, as the reference tests compare against.
 
+A d = 1 bulk build, an artifact load and an incremental update all hold
+the tree as pre-order columns: their nodes come from one column loader,
+step 3 is one pass over the columns, FMH views attach on a subdomain's
+first use, and a publish writes the columns back.  Only incremental-builder
+trees (d >= 2, LP) walk their nodes for step 3 and for a publish.
+
 Hardening note: the paper computes an intersection node's hash as
 ``H(a.h | b.h)``.  That does not bind *which* intersection the node stores,
 so a malicious server could present a search path with altered branch
@@ -20,7 +26,8 @@ tests and an ablation benchmark).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+import threading
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -28,9 +35,10 @@ from repro.core.config import MULTI_SIGNATURE, ONE_SIGNATURE, SystemConfig
 from repro.core.errors import ConstructionError
 from repro.core.parallel import resolve_worker_count
 from repro.core.records import Dataset, Record, UtilityTemplate
-from repro.crypto.hashing import HashFunction, epoch_bound_combine
+from repro.crypto.hashing import DIGEST_SIZE, HashFunction, epoch_bound_combine
 from repro.crypto.signer import Signer
 from repro.geometry.engine import SplitEngine
+from repro.ifmh import propagation
 from repro.itree.itree import ITree, SearchTrace, encode_tree_arrays
 from repro.itree.nodes import ITreeNode
 from repro.itree.permutation import PermutedView
@@ -122,7 +130,9 @@ class IFMHTree:
             1 if construction_workers is None else resolve_worker_count(construction_workers)
         )
         merkle_engine = MerkleBuildEngine(workers=workers)
-        self._attach_fmh_trees(merkle_engine)
+        self._attach_forest(*self._build_forest(merkle_engine))
+        if self.itree.columns is None:
+            self._attach_leaf_hashes(self.itree.leaves())
         self._propagate_hashes()
         #: Hit/size statistics of the construction engine's tables (``None``
         #: on trees that were loaded or updated rather than built).  Only
@@ -160,14 +170,16 @@ class IFMHTree:
         #: ADS epoch: 0 for an initial build, bumped by every applied update
         #: batch and bound into all signed messages from epoch 1 on.
         self.epoch = int(epoch)
-        #: Set only on artifact-loaded trees: the shared arena plus the
-        #: per-subdomain data needed to attach a leaf's FMH view on first
-        #: use (queries touch a handful of subdomains; the rest never pay).
-        self._lazy_forest = None
-        #: Batched-build forest handles ``(arena, root_indices, row_ids)``
-        #: in ``leaves()`` order, kept for the incremental-update path.
-        self._batched_forest = None
-        self._batched_leaf_map = None
+        #: ``(arena, fmh_leaf_count, ordered_records, root_indices)``, roots
+        #: in subdomain order: a leaf's FMH view attaches from it on first
+        #: use.  ``None`` only on the naive reference (list-based trees).
+        self._forest = None
+        #: Intersection digests in pre-order, ``(internal_nodes, 32)``, on
+        #: column-backed trees (bulk builds, loads, updates): what a publish
+        #: writes without walking the nodes.
+        self._intersection_hashes: Optional[np.ndarray] = None
+        #: Multi-signature subdomain signatures in subdomain order, once signed.
+        self._leaf_signatures: Optional[List[bytes]] = None
         #: Set by the incremental updater: everything the *next* update
         #: needs without touching (or materializing) the node structures.
         self._incremental_state = None
@@ -181,47 +193,40 @@ class IFMHTree:
             self.records_by_id[record.record_id] = record
 
     # ------------------------------------------------------------- step 2
-    def _attach_fmh_trees(self, engine: MerkleBuildEngine) -> None:
+    def _build_forest(self, engine: MerkleBuildEngine):
         """Build one FMH-tree per subdomain leaf over its sorted record list.
 
         Every subdomain's FMH-tree covers the same ``n + 2`` leaves
         (``f_min``, the n records in that subdomain's order, ``f_max``), so
-        the whole forest is one integer matrix: row ``t`` holds leaf ``t``'s
-        arena leaf indices, assembled by fancy-indexing the I-tree's shared
-        permutation array.  The engine advances all rows one level at a
-        time and hashes each level's new preimages in one bulk pass, so
+        the whole forest is one integer matrix: row ``t`` holds subdomain
+        ``t``'s arena leaf indices, assembled by fancy-indexing the I-tree's
+        shared permutation array.  The engine advances all rows one level at
+        a time and hashes each level's new preimages in one bulk pass, so
         only structure not seen in any earlier subdomain is physically
-        hashed.
+        hashed.  Returns the arena and the roots in subdomain order.
         """
         shared = self.itree.shared_order
         hash_function = self.hash_function
-        records_by_id = self.records_by_id
-        leaves = list(self.itree.leaves())
         #: Records in base (ascending record-id) order -- position p holds
         #: the record of shared.functions[p], so permutation rows apply.
-        ordered_records = [records_by_id[f.index] for f in shared.functions]
+        ordered_records = [self.records_by_id[f.index] for f in shared.functions]
         payloads = [record.to_bytes() for record in ordered_records]
         payloads.append(MIN_TOKEN)
         payloads.append(MAX_TOKEN)
         leaf_indices = engine.intern_leaf_batch(payloads, hash_function)
         record_leaf_index = leaf_indices[:-2]
         min_index, max_index = int(leaf_indices[-2]), int(leaf_indices[-1])
-        #: record id -> arena leaf index, free to stash here and exactly
-        #: what the incremental-update path needs to splice new leaf rows.
-        self._batched_leaf_map = (
-            {
-                record.record_id: int(index)
-                for record, index in zip(ordered_records, record_leaf_index)
-            },
-            min_index,
-            max_index,
-        )
 
-        tree_count = len(leaves)
-        leaf_count = len(ordered_records) + 2
-        row_ids = np.fromiter(
-            (leaf.sorted_functions.row_index for leaf in leaves), dtype=np.int64, count=tree_count
+        columns = self.itree.columns
+        # Subdomains in pre-order; the incremental builder numbers its
+        # permutation rows in that order too.
+        row_ids = (
+            columns["leaf_row"]
+            if columns is not None
+            else np.arange(shared.leaf_count, dtype=np.int64)
         )
+        tree_count = row_ids.shape[0]
+        leaf_count = len(ordered_records) + 2
         # int32 halves the resident footprint at n = 2000 (the builder
         # widens to int64 chunk by chunk for the shifted pair keys).
         leaf_matrix = np.empty((tree_count, leaf_count), dtype=np.int32)
@@ -233,28 +238,70 @@ class IFMHTree:
                 shared.permutation[row_ids[start:stop]]
             ]
         roots = engine.build_forest(leaf_matrix, hash_function)
-        arena = engine.finalize_arena()
-        self._batched_forest = (arena, roots, row_ids)
-        for leaf, root_index in zip(leaves, roots.tolist()):
-            view = ArenaMerkleTree(arena, root_index, leaf_count, hash_function=hash_function)
-            sorted_records = PermutedView(
-                ordered_records, leaf.sorted_functions.row, leaf.sorted_functions.row_index
-            )
-            leaf.fmh_tree = FMHTree.from_prebuilt(sorted_records, view, hash_function)
-            leaf.hash_value = view.root
+        return engine.finalize_arena(), roots
+
+    def _attach_forest(self, arena: MerkleArena, root_indices) -> None:
+        """Keep the forest for first-touch FMH views (every production tree)."""
+        ordered_records = [self.records_by_id[key] for key in sorted(self.records_by_id)]
+        self._forest = (
+            arena,
+            len(ordered_records) + 2,
+            ordered_records,
+            np.asarray(root_indices, dtype=np.int64),
+        )
+
+    def _attach_leaf_hashes(self, leaves) -> None:
+        """Give subdomain leaves (in subdomain order) their FMH root digests."""
+        arena, _fmh_leaf_count, _records, root_indices = self._forest
+        digest_size = self.hash_function.digest_size
+        root_blob = arena.digests[root_indices].tobytes()
+        for position, node in enumerate(leaves):
+            node.hash_value = root_blob[position * digest_size : (position + 1) * digest_size]
+
+    def _attach_hashes(self, itree: ITree) -> None:
+        """Attach the stored digests and signatures to a column-backed
+        I-tree's nodes: one blob slice per node, from its pre-order lists."""
+        digest_size = self.hash_function.digest_size
+        intersection_blob = self._intersection_hashes.tobytes()
+        for position, node in enumerate(itree.preorder_internal_nodes):
+            node.hash_value = intersection_blob[
+                position * digest_size : (position + 1) * digest_size
+            ]
+        self._attach_leaf_hashes(itree.preorder_leaf_nodes)
+        if self._leaf_signatures is not None:
+            for node, signature in zip(itree.preorder_leaf_nodes, self._leaf_signatures):
+                node.signature = signature
 
     # ------------------------------------------------------------- step 3
     def _propagate_hashes(self) -> None:
         """Compute intersection-node hashes bottom-up (paper step 3).
 
-        Bulk-built trees take the level-wise array propagation
-        (:func:`repro.ifmh.propagation.propagate_batched`); other tree
-        shapes (the incremental builder) take the paper's per-node stack
-        walk.  Digests and both hash counters are bit-identical either way.
+        A column-backed I-tree (the bulk builder) hashes its pre-order
+        columns in one pass (:func:`repro.ifmh.propagation.propagate_batched`,
+        which incremental updates run too) and attaches the digests like
+        an artifact load.  Other tree shapes (the incremental builder) take
+        the paper's per-node stack walk.  Digests and both hash counters are
+        bit-identical either way.
         """
-        from repro.ifmh.propagation import propagate_batched
-
-        if propagate_batched(self):
+        columns = self.itree.columns
+        if columns is not None:
+            arena, _fmh_leaf_count, _records, root_indices = self._forest
+            planes = None
+            if self.bind_intersections:
+                planes = propagation.encode_hyperplanes(
+                    columns["hyper_i"],
+                    columns["hyper_j"],
+                    columns["hyper_normal"][:, 0],
+                    columns["hyper_offset"],
+                )
+            intersections, _root = propagation.propagate_batched(
+                columns["node_is_leaf"],
+                arena.digests[root_indices].tobytes(),
+                planes,
+                self.hash_function,
+            )
+            self._intersection_hashes = _digest_matrix(intersections)
+            self._attach_hashes(self.itree)
             return
         stack = [self.itree.root]
         while stack:
@@ -295,9 +342,12 @@ class IFMHTree:
             self.root_signature = signer.sign(self.signed_root_message())
             self.counters.add_signature_created()
             return
+        signatures = []
         for leaf in self.itree.leaves():
             leaf.signature = signer.sign(self.subdomain_digest(leaf))
+            signatures.append(leaf.signature)
             self.counters.add_signature_created()
+        self._leaf_signatures = signatures
 
     def subdomain_digest(self, leaf: ITreeNode) -> bytes:
         """Multi-signature message for a subdomain node.
@@ -307,8 +357,7 @@ class IFMHTree:
         again; the final digest is what gets signed.  From epoch 1 on the
         epoch token is combined in as well (see :meth:`signed_root_message`).
         """
-        if self._lazy_forest is not None:
-            self._ensure_leaf(leaf)
+        self.itree.materialize_leaf(leaf)
         inequality_hash = self.hash_function.digest(leaf.region.constraint_bytes())
         return epoch_bound_combine(
             self.hash_function, self.epoch, inequality_hash, leaf.hash_value
@@ -324,15 +373,41 @@ class IFMHTree:
         subdomain order), every intersection node's hash (pre-order) and --
         in multi-signature mode -- the per-subdomain signatures.
 
-        A deferred update (:meth:`from_update`) is written straight from
-        the arrays the update built: no node skeleton, no leaf
-        materialisation, and the row-lazy permutation is densified only
-        if the dense encoding is the one stored.  The deferred payload is
-        left in place, so the tree still rebuilds on first query touch.
+        A column-backed tree -- built by the bulk builder, loaded, or
+        incrementally updated -- writes its own columns: no node walk, no
+        leaf materialisation, and a deferred update's row-lazy permutation
+        is densified only if the dense encoding is the one stored (the
+        update stays deferred).  Only an incremental build walks its nodes
+        (:meth:`walk_arrays`).
         """
+        if self.mode == MULTI_SIGNATURE and self._leaf_signatures is None:
+            raise ConstructionError("cannot serialize an unsigned multi-signature tree")
+        if self._intersection_hashes is None:
+            return self.walk_arrays()
+        arena, _fmh_leaf_count, _records, root_indices = self._forest
         payload = self.__dict__.get("_deferred_load")
-        if payload is not None:
-            return self._deferred_arrays(payload[0])
+        if payload is None:
+            tree_arrays = self.itree.to_arrays()
+        else:
+            columns, _engine = payload
+            state = self._incremental_state
+            tree_arrays = encode_tree_arrays(
+                columns,
+                self.template.dimension,
+                columns["permutation"],
+                (state.change_rows, state.change_cols, state.change_vals),
+            )
+        return self._ads_arrays(
+            tree_arrays, arena, root_indices, self._intersection_hashes, self._leaf_signatures
+        )
+
+    def walk_arrays(self) -> Dict[str, np.ndarray]:
+        """:meth:`to_arrays` read off the nodes, every leaf materialised.
+
+        The writer of incremental builds.  On a column-backed tree it
+        recomputes every array from the nodes and the dense permutation,
+        which the tests compare with what the columns write.
+        """
         leaves = list(self._materialized_leaves())
         arena = leaves[0].fmh_tree.tree.arena
         root_indices = np.fromiter(
@@ -340,38 +415,18 @@ class IFMHTree:
             dtype=np.int64,
             count=len(leaves),
         )
-        intersection_hashes = [
-            node.hash_value for node in self.itree.root.iter_subtree() if node.is_intersection
-        ]
-        intersection_matrix = np.frombuffer(
-            b"".join(intersection_hashes), dtype=np.uint8
-        ).reshape(len(intersection_hashes), self.hash_function.digest_size)
+        intersection_hashes = _digest_matrix(
+            [node.hash_value for node in self.itree.root.iter_subtree() if node.is_intersection]
+        )
         signatures = (
             [leaf.signature for leaf in leaves] if self.mode == MULTI_SIGNATURE else None
         )
-        return self._ads_arrays(
-            self.itree.to_arrays(), arena, root_indices, intersection_matrix, signatures
-        )
-
-    def _deferred_arrays(self, arrays: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        """:meth:`to_arrays` of a deferred update, from its own payload."""
-        if self.mode == MULTI_SIGNATURE:
-            # Signing a multi-signature tree walks its leaves, which rebuilds
-            # it: a tree still deferred carries no signatures to write.
-            raise ConstructionError("cannot serialize an unsigned multi-signature tree")
-        state = self._incremental_state
         tree_arrays = encode_tree_arrays(
-            arrays,
+            self.itree.walk_columns(),
             self.template.dimension,
-            arrays["permutation"],
-            (state.change_rows, state.change_cols, state.change_vals),
+            self.itree.shared_order.permutation,
         )
-        arena = MerkleArena(
-            arrays["arena_digests"], arrays["arena_left"], arrays["arena_right"]
-        )
-        return self._ads_arrays(
-            tree_arrays, arena, arrays["leaf_root_index"], arrays["intersection_hash"], None
-        )
+        return self._ads_arrays(tree_arrays, arena, root_indices, intersection_hashes, signatures)
 
     def _ads_arrays(
         self,
@@ -416,7 +471,6 @@ class IFMHTree:
         counters: Optional[Counters] = None,
         engine: Optional[SplitEngine] = None,
         epoch: int = 0,
-        require_signatures: bool = True,
     ) -> "IFMHTree":
         """Rebuild a fully functional tree from :meth:`to_arrays` output.
 
@@ -438,47 +492,22 @@ class IFMHTree:
         self = cls.__new__(cls)
         self._init_common(dataset, template, config, counters, None, None, epoch)
         self.merkle_engine_stats = None
-        self._load_arrays(
-            arrays,
-            builder=builder,
-            engine=engine,
-            root_signature=root_signature,
-            require_signatures=require_signatures,
-        )
-        return self
-
-    def _load_arrays(
-        self,
-        arrays: Dict[str, np.ndarray],
-        *,
-        builder: str,
-        engine: Optional[SplitEngine],
-        root_signature: Optional[bytes],
-        require_signatures: bool,
-    ) -> None:
-        """Attach the array-form ADS to ``self`` (see :meth:`from_arrays`)."""
-        dataset = self.dataset
-        template = self.template
-        config = self.config
         if engine is None:
             engine = config.make_engine(template.domain)
-        functions = template.functions_for(dataset)
-        self.itree = ITree.from_arrays(
-            functions,
+        itree = ITree.from_arrays(
+            template.functions_for(dataset),
             template.domain,
             arrays,
             engine=engine,
             counters=self.counters,
             builder=builder,
         )
-        internal_nodes = self.itree.loaded_internal_nodes
-        leaf_nodes = self.itree.loaded_leaf_nodes
-
+        leaf_count = len(itree.preorder_leaf_nodes)
         arena = MerkleArena.from_arrays(
             arrays["arena_digests"], arrays["arena_left"], arrays["arena_right"]
         )
         root_index_array = np.asarray(arrays["leaf_root_index"], dtype=np.int64)
-        if root_index_array.shape[0] != len(leaf_nodes):
+        if root_index_array.shape[0] != leaf_count:
             raise ConstructionError(
                 "artifact root-index array does not cover every subdomain"
             )
@@ -486,48 +515,32 @@ class IFMHTree:
             root_index_array.min() < 0 or root_index_array.max() >= len(arena)
         ):
             raise ConstructionError("artifact root indices reference nonexistent nodes")
-        digest_size = self.hash_function.digest_size
         intersection_matrix = np.ascontiguousarray(
             arrays["intersection_hash"], dtype=np.uint8
         )
-        if intersection_matrix.shape != (len(internal_nodes), digest_size):
-            raise ConstructionError("artifact hash arrays do not match the I-tree shape")
-
-        # Stored hashes are attached in bulk: one blob slice per node, no
-        # tree traversal (the loaders kept pre-order node lists).
-        intersection_blob = intersection_matrix.tobytes()
-        for position, node in enumerate(internal_nodes):
-            start = position * digest_size
-            node.hash_value = intersection_blob[start : start + digest_size]
-        root_blob = arena.digests[root_index_array].tobytes()
-        for position, node in enumerate(leaf_nodes):
-            start = position * digest_size
-            node.hash_value = root_blob[start : start + digest_size]
-        if self.mode == MULTI_SIGNATURE and (
-            require_signatures or "leaf_signature" in arrays
+        if intersection_matrix.shape != (
+            len(itree.preorder_internal_nodes),
+            self.hash_function.digest_size,
         ):
-            # The update path reconstructs first and signs at the new epoch
-            # afterwards (require_signatures=False); artifact loads always
-            # carry the published signatures.
+            raise ConstructionError("artifact hash arrays do not match the I-tree shape")
+        if self.mode == MULTI_SIGNATURE:
             matrix = np.ascontiguousarray(arrays["leaf_signature"], dtype=np.uint8)
-            if matrix.shape[0] != len(leaf_nodes):
+            if matrix.shape[0] != leaf_count:
                 raise ConstructionError(
                     "multi-signature artifact carries a signature count that does "
                     "not match its subdomain count"
                 )
             width = matrix.shape[1]
-            signature_blob = matrix.tobytes()
-            for position, node in enumerate(leaf_nodes):
-                node.signature = signature_blob[position * width : (position + 1) * width]
-
-        ordered_records = [self.records_by_id[f.index] for f in self.itree.shared_order.functions]
-        self._lazy_forest = (
-            arena,
-            len(ordered_records) + 2,
-            ordered_records,
-            root_index_array.tolist(),
-        )
+            blob = matrix.tobytes()
+            self._leaf_signatures = [
+                blob[position * width : (position + 1) * width] for position in range(leaf_count)
+            ]
+        self._attach_forest(arena, root_index_array)
+        self._intersection_hashes = intersection_matrix
+        self._attach_hashes(itree)
         self.root_signature = root_signature
+        self.itree = itree  # reprolint: disable=RL006 -- a tree still being constructed, not yet shared with any thread
+        return self
 
     # ----------------------------------------------------- deferred updates
     @classmethod
@@ -535,30 +548,33 @@ class IFMHTree:
         cls,
         dataset: Dataset,
         template: UtilityTemplate,
-        arrays: Dict[str, np.ndarray],
+        columns: Dict[str, np.ndarray],
         *,
+        arena: MerkleArena,
+        root_indices: np.ndarray,
+        intersection_hashes: List[bytes],
         config: SystemConfig,
         counters: Optional[Counters],
         engine: Optional[SplitEngine],
         epoch: int,
         root_hash: bytes,
-        subdomain_count: int,
         incremental_state,
         signer: Optional[Signer] = None,
     ) -> "IFMHTree":
         """An incrementally updated tree whose node structures load lazily.
 
-        The changed-path update (:mod:`repro.ifmh.updates`) already knows
-        the new root digest, subdomain count and every array of the new
-        ADS; rebuilding the I-tree node skeleton eagerly would cost more
-        than the rest of the update.  It is deferred instead: the first
-        access to :attr:`itree` (a search, a metrics walk) triggers the
-        same :meth:`from_arrays` reconstruction an artifact load performs.
-        Neither one-signature signing nor publishing forces it -- the root
-        hash is served from the update's propagation pass, and
-        :meth:`to_arrays` writes the update's own arrays plus the
-        permutation change points carried by ``incremental_state`` (the
-        :class:`repro.ifmh.updates.IncrementalState` the next update
+        The changed-path update (:mod:`repro.ifmh.updates`) already holds
+        the new tree's pre-order columns (plus its row-lazy permutation),
+        forest, intersection digests and root digest; creating the I-tree
+        node skeleton eagerly would cost more than the rest of the update.
+        It is deferred instead: the first access to :attr:`itree` (a
+        search, a metrics walk) runs the same column loader an artifact
+        load runs, under a lock, so threads that touch the tree at once see
+        either the deferred tree or the loaded one.  Neither one-signature
+        signing nor publishing forces it -- the root hash is served from the
+        update's propagation pass, and :meth:`to_arrays` writes the columns
+        plus the permutation change points carried by ``incremental_state``
+        (the :class:`repro.ifmh.updates.IncrementalState` the next update
         starts from).
         """
         self = cls.__new__(cls)
@@ -566,29 +582,43 @@ class IFMHTree:
         self.merkle_engine_stats = None
         self.root_signature = None
         self._incremental_state = incremental_state
-        self._deferred_load = (arrays, engine)
+        self._attach_forest(arena, root_indices)
+        self._intersection_hashes = _digest_matrix(intersection_hashes)
         self._deferred_root_hash = root_hash
-        self._deferred_subdomain_count = int(subdomain_count)
+        self._deferred_lock = threading.Lock()
+        self._deferred_load = (columns, engine)
         return self
 
     def _materialize_deferred(self) -> None:
-        """Run the deferred :meth:`from_arrays` reconstruction (idempotent)."""
-        payload = self.__dict__.pop("_deferred_load", None)
-        if payload is None:
-            return
-        arrays, engine = payload
-        self._load_arrays(
-            arrays,
-            builder=_DEFERRED_BUILDER,
-            engine=engine,
-            root_signature=self.root_signature,
-            require_signatures=False,
-        )
+        """Create a deferred update's node skeleton (idempotent, thread-safe).
+
+        ``itree`` is set last and the payload dropped after it, so a thread
+        that finds ``itree`` set sees a fully attached tree, and one that
+        still finds the payload either waits here or reads the payload.
+        """
+        with self._deferred_lock:
+            payload = self.__dict__.get("_deferred_load")
+            if payload is None:
+                return
+            columns, engine = payload
+            state = self._incremental_state
+            itree = ITree.from_arrays(
+                self.template.functions_for(self.dataset),
+                self.template.domain,
+                columns,
+                engine=engine,
+                counters=self.counters,
+                builder=_DEFERRED_BUILDER,
+                change_points=(state.change_rows, state.change_cols, state.change_vals),
+            )
+            self._attach_hashes(itree)
+            self.itree = itree
+            del self.__dict__["_deferred_load"]
 
     def __getattr__(self, name: str):
         # Only ever reached for attributes not yet set: a deferred update
         # has no ``itree`` until something touches the node structures.
-        if name == "itree" and "_deferred_load" in self.__dict__:
+        if name == "itree" and "_deferred_lock" in self.__dict__:
             self._materialize_deferred()
             return self.__dict__["itree"]
         raise AttributeError(
@@ -596,13 +626,13 @@ class IFMHTree:
         )
 
     def _ensure_leaf(self, leaf: ITreeNode) -> None:
-        """Attach a lazily loaded subdomain's region and FMH view (idempotent)."""
-        if leaf.fmh_tree is not None or self._lazy_forest is None:
+        """Attach a subdomain's region and FMH view on first use (idempotent)."""
+        if leaf.fmh_tree is not None or self._forest is None:
             return
         self.itree.materialize_leaf(leaf)
-        arena, fmh_leaf_count, ordered_records, root_indices = self._lazy_forest
+        arena, fmh_leaf_count, ordered_records, root_indices = self._forest
         view = ArenaMerkleTree(
-            arena, root_indices[leaf.subdomain_id], fmh_leaf_count, self.hash_function
+            arena, int(root_indices[leaf.subdomain_id]), fmh_leaf_count, self.hash_function
         )
         ordered = leaf.sorted_functions
         sorted_records = PermutedView(ordered_records, ordered.row, ordered.row_index)
@@ -625,8 +655,9 @@ class IFMHTree:
 
     @property
     def subdomain_count(self) -> int:
-        if "_deferred_load" in self.__dict__:
-            return self._deferred_subdomain_count
+        payload = self.__dict__.get("_deferred_load")
+        if payload is not None:
+            return int(payload[0]["leaf_row"].shape[0])
         return self.itree.subdomain_count
 
     @property
@@ -661,9 +692,7 @@ class IFMHTree:
         """
         if self.mode == ONE_SIGNATURE:
             return 0 if self.root_signature is None else 1
-        if self.signer is None and self._lazy_forest is None:
-            return 0
-        return self.subdomain_count
+        return 0 if self._leaf_signatures is None else self.subdomain_count
 
     def search(self, weights: Sequence[float], counters: Optional[Counters] = None) -> SearchTrace:
         """Locate the subdomain containing ``weights`` (delegates to the I-tree).
@@ -673,8 +702,7 @@ class IFMHTree:
         fully materialized leaf.
         """
         trace = self.itree.search(weights, counters=counters)
-        if self._lazy_forest is not None:
-            self._ensure_leaf(trace.leaf)
+        self._ensure_leaf(trace.leaf)
         return trace
 
     def leaf_scores(self, leaf: ITreeNode, weights: Sequence[float]) -> np.ndarray:
@@ -737,3 +765,8 @@ class IFMHTree:
     def size_bytes(self, size_model: SizeModel = DEFAULT_SIZE_MODEL) -> int:
         """Total serialized size in bytes."""
         return sum(self.size_breakdown(size_model).values())
+
+
+def _digest_matrix(digests: List[bytes]) -> np.ndarray:
+    """Digests stacked as one ``(count, 32)`` byte matrix."""
+    return np.frombuffer(b"".join(digests), dtype=np.uint8).reshape(len(digests), DIGEST_SIZE)

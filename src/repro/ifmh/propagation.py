@@ -1,138 +1,159 @@
-"""Level-batched step-3 hash propagation for bulk-built trees.
+"""Step-3 hash propagation over the pre-order columns (paper section 3.1).
 
-The paper's step 3 walks the I-tree bottom-up and hashes each intersection
-node from its children -- a per-node Python stack walk that becomes the
-assembly tail once steps 1-2 are vectorized.  For bulk-built trees the
-balanced shape is fully determined by the kept-breakpoint plan, so the same
-reverse-pre-order array propagation the update path uses
-(:func:`repro.ifmh.updates.balanced_preorder`) applies to fresh builds:
-leaf digests are scattered from the batched forest's arena, then each
-bottom-up frontier of intersection nodes is hashed in one
-:meth:`~repro.crypto.hashing.HashFunction.digest_batch` pass.
+Step 3 hashes every intersection node from its two children, bottom-up.  A
+tree held as pre-order columns -- a d = 1 bulk build, an artifact load, an
+incremental update -- needs nothing but its ``node_is_leaf`` column for
+that: walking the column backwards visits both subtrees of a node before
+the node itself (pre-order is node, above subtree, below subtree), so one
+stack of child digests carries the whole propagation.  Bulk builds and
+incremental updates both run :func:`propagate_batched`; only trees of the
+incremental builder (d >= 2, LP) run the paper's per-node stack walk
+(:meth:`repro.ifmh.ifmh_tree.IFMHTree._propagate_hashes`).
 
-Every digest and both hash counters are bit-identical to the stack walk:
-the preimage framing replicates ``HashFunction.combine`` byte for byte and
-``digest_batch`` counts one logical and one physical operation per node,
-exactly like the per-node ``combine`` calls it replaces.
+Every digest and both hash counters are bit-identical to that walk: the
+preimage framing replicates ``HashFunction.combine`` byte for byte, and
+one logical and one physical operation are counted per intersection node.
 """
 
 from __future__ import annotations
 
+from typing import List, Optional, Sequence, Tuple
+
 import numpy as np
 
-from repro.core.errors import ConstructionError
-from repro.crypto.hashing import DIGEST_SIZE
-from repro.ifmh.updates import _encode_hyperplanes, balanced_preorder
+from repro.crypto.hashing import DIGEST_SIZE, HashFunction, sha256
+from repro.geometry.functions import Hyperplane
 
-__all__ = ["propagate_batched"]
-
-#: ``combine``'s per-digest framing: the 8-byte big-endian length prefix.
-_PREFIX = np.frombuffer(DIGEST_SIZE.to_bytes(8, "big"), dtype=np.uint8)
+__all__ = ["encode_hyperplanes", "propagate_batched"]
 
 
-def propagate_batched(tree) -> bool:
-    """Run step 3 level-wise over ``tree`` if its build supports it.
+def propagate_batched(
+    node_is_leaf: np.ndarray,
+    leaf_digests: bytes,
+    planes: Optional[Sequence[bytes]],
+    hash_function: HashFunction,
+) -> Tuple[List[bytes], bytes]:
+    """Hash every intersection node of a pre-order tree, bottom-up.
 
-    Returns ``True`` when the propagation ran (every intersection node's
-    ``hash_value`` is set); ``False`` when the tree was not bulk-built with
-    a batched forest, in which case the caller falls back to the paper's
-    stack walk.
+    ``leaf_digests`` concatenates the subdomain digests (FMH roots) in
+    pre-order-leaf order; ``planes`` holds each intersection's canonical
+    hyperplane encoding in pre-order-internal order, or ``None`` for the
+    paper's exact rule ``H(a.h | b.h)`` (``bind_intersections=False``).
+    Returns the intersection digests in pre-order-internal order and the
+    root digest.
     """
-    bulk_state = tree.itree.bulk_state
-    forest = tree._batched_forest
-    if bulk_state is None or forest is None:
-        return False
-    count = int(bulk_state.hyper_normal.shape[0])
-    if count == 0:
-        # Single-subdomain tree: no intersection nodes, nothing to hash.
-        return False
-    arena, roots, _row_ids = forest
-
-    skeleton = balanced_preorder(bulk_state.hyper_normal)
-    nodes = skeleton.internal_node
-    above = skeleton.above_node
-    below = skeleton.below_node
-
-    # Leaf digests: ``roots`` is in leaves() order (pre-order-leaf order),
-    # which is exactly ``skeleton.leaf_node``'s emission order -- unlike the
-    # update path, whose per-interval roots need the ``leaf_interval`` remap.
-    total = int(skeleton.flags.shape[0])
-    digest_matrix = np.empty((total, DIGEST_SIZE), dtype=np.uint8)
-    digest_matrix[skeleton.leaf_node] = arena.digests[np.asarray(roots, dtype=np.int64)]
-
-    plane_of = None
-    lengths = None
-    if tree.bind_intersections:
-        hyper_bytes = _encode_hyperplanes(
-            bulk_state.hyper_i,
-            bulk_state.hyper_j,
-            bulk_state.hyper_normal,
-            bulk_state.hyper_offset,
-        )
-        plane_of = [hyper_bytes[mid] for mid in skeleton.internal_mid.tolist()]
-        lengths = np.fromiter((len(p) for p in plane_of), dtype=np.int64, count=count)
-
-    hash_function = tree.hash_function
-    done = skeleton.flags.astype(bool)
-    pending = np.arange(count, dtype=np.int64)
-    while pending.shape[0]:
-        ready_mask = done[above[pending]] & done[below[pending]]
-        ready = pending[ready_mask]
-        if ready.shape[0] == 0:  # pragma: no cover - corrupt skeleton guard
-            raise ConstructionError(
-                "hash propagation stalled: intersection nodes form a cycle"
-            )
-        pending = pending[~ready_mask]
-        if plane_of is None:
-            _hash_frontier(digest_matrix, nodes, above, below, ready, None, 0, hash_function)
-        else:
-            for length in np.unique(lengths[ready]).tolist():
-                members = ready[lengths[ready] == length]
-                planes = b"".join(plane_of[i] for i in members.tolist())
-                _hash_frontier(
-                    digest_matrix, nodes, above, below, members, planes, length, hash_function
-                )
-        done[nodes[ready]] = True
-
-    # Attach: iter_subtree pre-order visits intersection nodes in exactly
-    # ``skeleton.internal_node`` emission order.
-    internal_blob = digest_matrix[nodes].tobytes()
-    cursor = 0
-    for node in tree.itree.root.iter_subtree():
-        if not node.is_subdomain:
-            node.hash_value = internal_blob[cursor * DIGEST_SIZE : (cursor + 1) * DIGEST_SIZE]
-            cursor += 1
-    return True
+    flags = node_is_leaf.tolist()
+    internal_count = len(flags) - len(leaf_digests) // DIGEST_SIZE
+    prefix = DIGEST_SIZE.to_bytes(8, "big")
+    # combine()'s framing: an 8-byte length before every part.
+    if planes is None:
+        heads = [prefix] * internal_count
+    else:
+        heads = [len(plane).to_bytes(8, "big") + plane + prefix for plane in planes]
+    digests: List[bytes] = [b""] * internal_count
+    stack: List[bytes] = []
+    push = stack.append
+    pop = stack.pop
+    sha = sha256
+    leaf_end = len(leaf_digests)
+    cursor = internal_count
+    for is_leaf in reversed(flags):
+        if is_leaf:
+            push(leaf_digests[leaf_end - DIGEST_SIZE : leaf_end])
+            leaf_end -= DIGEST_SIZE
+            continue
+        cursor -= 1
+        # The above subtree was finished last, so its digest is on top.
+        above = pop()
+        digest = sha(heads[cursor] + above + prefix + pop())
+        digests[cursor] = digest
+        push(digest)
+    hash_function.note_computed(internal_count)
+    return digests, stack[-1]
 
 
-def _hash_frontier(
-    digest_matrix: np.ndarray,
-    nodes: np.ndarray,
-    above: np.ndarray,
-    below: np.ndarray,
-    members: np.ndarray,
-    planes: bytes | None,
-    plane_length: int,
-    hash_function,
-) -> None:
-    """Hash one frontier group sharing a plane byte-length in one bulk pass.
+#: ``encode_str("hyperplane")``: tag, 8-byte length, payload (19 bytes).
+_HYPER_STR = b"\x03" + (10).to_bytes(8, "big") + b"hyperplane"
 
-    The preimage replicates ``HashFunction.combine``'s framing: an 8-byte
-    big-endian length prefix before every part, parts being ``(plane,
-    above, below)`` when binding intersections and ``(above, below)`` for
-    the paper's exact rule (``plane_length == 0`` with ``planes=None``).
+
+def encode_hyperplanes(
+    hyper_i: np.ndarray,
+    hyper_j: np.ndarray,
+    hyper_normal: np.ndarray,
+    hyper_offset: np.ndarray,
+) -> List[bytes]:
+    """``Hyperplane.to_bytes()`` for every column, byte-identical, in bulk.
+
+    The canonical encoding's only variable-width parts are the two record
+    ids (``encode_int`` uses the minimal signed big-endian width), so the
+    planes are grouped by id widths and each group is assembled as one
+    fixed-width byte matrix.  Negative or enormous ids (never produced by
+    ``Dataset.from_rows``, but legal) fall back to the object encoder.
     """
-    rows = int(members.shape[0])
-    head = 8 + plane_length if planes is not None else 0
-    matrix = np.empty((rows, head + 80), dtype=np.uint8)
-    if planes is not None:
-        matrix[:, 0:8] = np.frombuffer(plane_length.to_bytes(8, "big"), dtype=np.uint8)
-        matrix[:, 8:head] = np.frombuffer(planes, dtype=np.uint8).reshape(rows, plane_length)
-    matrix[:, head : head + 8] = _PREFIX
-    matrix[:, head + 8 : head + 40] = digest_matrix[above[members]]
-    matrix[:, head + 40 : head + 48] = _PREFIX
-    matrix[:, head + 48 : head + 80] = digest_matrix[below[members]]
-    digests = hash_function.digest_batch(matrix)
-    digest_matrix[nodes[members]] = np.frombuffer(b"".join(digests), dtype=np.uint8).reshape(
-        rows, DIGEST_SIZE
+    count = int(hyper_i.shape[0])
+    result: List[bytes] = [b""] * count
+    plain = (hyper_i >= 0) & (hyper_j >= 0) & (hyper_i < 2**55) & (hyper_j < 2**55)
+    for index in np.nonzero(~plain)[0].tolist():
+        result[index] = Hyperplane(
+            i=int(hyper_i[index]),
+            j=int(hyper_j[index]),
+            normal=(float(hyper_normal[index]),),
+            offset=float(hyper_offset[index]),
+        ).to_bytes()
+    rows = np.nonzero(plain)[0]
+    if rows.shape[0] == 0:
+        return result
+
+    def int_width(values: np.ndarray) -> np.ndarray:
+        # max(1, (bit_length + 8) // 8) for non-negative ints: one byte up
+        # to 127, two up to 32767, ...
+        width = np.ones(values.shape[0], dtype=np.int64)
+        for extra in range(1, 8):
+            width += values >= np.int64(1) << np.int64(8 * extra - 1)
+        return width
+
+    width_i = int_width(hyper_i[rows])
+    width_j = int_width(hyper_j[rows])
+    normal_be = (
+        np.ascontiguousarray(hyper_normal[rows], dtype=">f8").view(np.uint8).reshape(-1, 8)
     )
+    offset_be = (
+        np.ascontiguousarray(hyper_offset[rows], dtype=">f8").view(np.uint8).reshape(-1, 8)
+    )
+    group_key = width_i * 16 + width_j
+    for key in np.unique(group_key).tolist():
+        members = np.nonzero(group_key == key)[0]
+        li, lj = key // 16, key % 16
+        payload = 19 + (9 + li) + (9 + lj) + 17 + 17
+        total = 9 + payload
+        matrix = np.empty((members.shape[0], total), dtype=np.uint8)
+        matrix[:, 0] = 6  # sequence tag
+        matrix[:, 1:9] = np.frombuffer(payload.to_bytes(8, "big"), dtype=np.uint8)
+        matrix[:, 9:28] = np.frombuffer(_HYPER_STR, dtype=np.uint8)
+        cursor = 28
+        for length, values in ((li, hyper_i[rows[members]]), (lj, hyper_j[rows[members]])):
+            matrix[:, cursor] = 1  # int tag
+            matrix[:, cursor + 1 : cursor + 9] = np.frombuffer(
+                length.to_bytes(8, "big"), dtype=np.uint8
+            )
+            for byte in range(length):
+                shift = np.int64(8 * (length - 1 - byte))
+                matrix[:, cursor + 9 + byte] = (values >> shift) & np.int64(0xFF)
+            cursor += 9 + length
+        matrix[:, cursor] = 5  # float-vector tag
+        matrix[:, cursor + 1 : cursor + 9] = np.frombuffer(
+            (8).to_bytes(8, "big"), dtype=np.uint8
+        )
+        matrix[:, cursor + 9 : cursor + 17] = normal_be[members]
+        cursor += 17
+        matrix[:, cursor] = 2  # float tag
+        matrix[:, cursor + 1 : cursor + 9] = np.frombuffer(
+            (8).to_bytes(8, "big"), dtype=np.uint8
+        )
+        matrix[:, cursor + 9 : cursor + 17] = offset_be[members]
+        blob = matrix.tobytes()
+        for offset_index, member in enumerate(members.tolist()):
+            result[int(rows[member])] = blob[
+                offset_index * total : (offset_index + 1) * total
+            ]
+    return result

@@ -10,7 +10,8 @@ differential property harness in
 1. **Breakpoint plan** -- the pairwise crossing candidates of the final
    function set are recomputed in one vectorized pass (cheap), but the
    order-dependent tolerance *replay* that decides which near-coincident
-   candidates survive is only re-run inside "dirty" tolerance clusters --
+   candidates survive (:func:`repro.itree.itree.replay_tolerance`, the
+   build's routine) is only re-run inside "dirty" tolerance clusters --
    maximal runs of candidates closer than the engine tolerance that gained
    or lost a member.  Clean clusters keep their old verdicts verbatim;
    dirty clusters are replayed exactly, including rare tolerance-chain
@@ -38,14 +39,14 @@ differential property harness in
    persisted arena is reused by index, and only the genuinely new nodes
    are hashed (bulk passes) and *appended* -- old arena rows stay valid,
    which is exactly what delta artifacts ship.
-4. **Skeleton + step-3 propagation** -- the balanced I-tree over the new
-   breakpoint plan is emitted directly in pre-order array form (no
-   geometry engine, no region objects), intersection hashes are recomputed
-   in one reverse-pre-order pass (hyperplane encodings cached across
-   epochs), and the node-object reconstruction itself is **deferred**: the
+4. **Columns + step-3 propagation** -- the balanced I-tree over the new
+   breakpoint plan is emitted as pre-order columns by
+   :func:`repro.itree.itree.preorder_columns` and hashed by
+   :func:`repro.ifmh.propagation.propagate_batched` (hyperplane encodings
+   cached across epochs) -- the assembly and the propagation a bulk build
+   runs -- and the node-object reconstruction itself is **deferred**: the
    updated tree serves its root hash and signature immediately and runs
-   the proven :meth:`repro.ifmh.ifmh_tree.IFMHTree.from_arrays` cold-start
-   path on first query touch, exactly like an artifact load.
+   the column loader of an artifact load on first query touch.
 
 Batches apply as a sequence of single-record steps (each step is
 bit-identical to a fresh build of its intermediate dataset, hence the
@@ -68,19 +69,24 @@ import numpy as np
 
 from repro.core.errors import ConstructionError
 from repro.core.records import Dataset, Record
-from repro.crypto.hashing import DIGEST_SIZE, sha256
+from repro.crypto.hashing import sha256
 from repro.geometry.arrangement import univariate_breakpoints
 from repro.geometry.engine import IntervalEngine
-from repro.geometry.functions import COEFFICIENT_TOLERANCE, Hyperplane
-from repro.itree.itree import BulkPlanState
+from repro.geometry.functions import COEFFICIENT_TOLERANCE
+from repro.ifmh import propagation
+from repro.itree.itree import (
+    BulkPlanState,
+    interval_witnesses,
+    preorder_columns,
+    replay_tolerance,
+    sorted_rows,
+    tolerance_clusters,
+)
 from repro.itree.permutation import LazySplicedPermutation
 from repro.merkle.arena import DeltaForestHasher, MerkleArena
 from repro.merkle.fmh_tree import MAX_TOKEN, MIN_TOKEN
 
-__all__ = ["IncrementalState", "apply_incremental_update", "balanced_preorder"]
-
-#: Rows scored per vectorized chunk of the re-sort pass.
-_RANK_CHUNK = 8192
+__all__ = ["IncrementalState", "apply_incremental_update"]
 
 #: Lazy-permutation chains longer than this are densified before stacking
 #: another splice on top (bounds per-row materialization cost and keeps
@@ -122,181 +128,6 @@ class IncrementalState:
 
 
 # ---------------------------------------------------------------------------
-# Balanced-tree pre-order emission (mirrors ITree._bulk_build exactly)
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class _Skeleton:
-    """Pre-order layout of the balanced I-tree over ``m`` sorted breakpoints.
-
-    ``flags`` has one entry per node (1 = subdomain leaf); ``internal_mid``
-    maps each internal node (pre-order-internal order) to its sorted
-    breakpoint index, ``internal_node``/``above_node``/``below_node`` to its
-    own and its children's pre-order node ids; ``leaf_node``/``leaf_interval``
-    map each leaf (pre-order-leaf order, i.e. subdomain-id order) to its
-    node id and left-to-right interval index.
-    """
-
-    flags: np.ndarray
-    internal_mid: np.ndarray
-    internal_node: np.ndarray
-    above_node: np.ndarray
-    below_node: np.ndarray
-    leaf_node: np.ndarray
-    leaf_interval: np.ndarray
-
-
-def balanced_preorder(slopes: np.ndarray) -> _Skeleton:
-    """Emit the bulk builder's balanced tree shape without building nodes.
-
-    Replicates :meth:`repro.itree.itree.ITree._bulk_build` node for node:
-    each ``(low, high)`` breakpoint range contributes its median as an
-    intersection node; for a positive slope the *above* child covers the
-    right (larger-breakpoint) half, for a negative slope the left half.
-    The emission order is ``iter_subtree`` pre-order: node, above subtree,
-    below subtree.
-    """
-    count = int(slopes.shape[0])
-    total = 2 * count + 1
-    flags = bytearray(total)
-    internal_mid: List[int] = []
-    internal_node: List[int] = []
-    above_node = [0] * count
-    below_node = [0] * count
-    leaf_node: List[int] = []
-    leaf_interval: List[int] = []
-    slope_list = slopes.tolist()
-    # (low, high, parent_internal_cursor, is_above)
-    stack: List[Tuple[int, int, int, bool]] = [(0, count, -1, False)]
-    pop = stack.pop
-    push = stack.append
-    node_id = 0
-    while stack:
-        low, high, parent, is_above = pop()
-        if parent >= 0:
-            if is_above:
-                above_node[parent] = node_id
-            else:
-                below_node[parent] = node_id
-        if low >= high:
-            flags[node_id] = 1
-            leaf_node.append(node_id)
-            leaf_interval.append(low)
-            node_id += 1
-            continue
-        mid = (low + high) // 2
-        internal_mid.append(mid)
-        internal_node.append(node_id)
-        cursor = len(internal_mid) - 1
-        # Pre-order: the above subtree is emitted first, so it is pushed last.
-        if slope_list[mid] > 0:
-            push((low, mid, cursor, False))
-            push((mid + 1, high, cursor, True))
-        else:
-            push((mid + 1, high, cursor, False))
-            push((low, mid, cursor, True))
-        node_id += 1
-    return _Skeleton(
-        flags=np.frombuffer(bytes(flags), dtype=np.uint8),
-        internal_mid=np.asarray(internal_mid, dtype=np.int64),
-        internal_node=np.asarray(internal_node, dtype=np.int64),
-        above_node=np.asarray(above_node, dtype=np.int64),
-        below_node=np.asarray(below_node, dtype=np.int64),
-        leaf_node=np.asarray(leaf_node, dtype=np.int64),
-        leaf_interval=np.asarray(leaf_interval, dtype=np.int64),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Vectorized hyperplane encoding
-# ---------------------------------------------------------------------------
-#: ``encode_str("hyperplane")``: tag, 8-byte length, payload (19 bytes).
-_HYPER_STR = b"\x03" + (10).to_bytes(8, "big") + b"hyperplane"
-
-
-def _encode_hyperplanes(
-    hyper_i: np.ndarray,
-    hyper_j: np.ndarray,
-    hyper_normal: np.ndarray,
-    hyper_offset: np.ndarray,
-) -> List[bytes]:
-    """``Hyperplane.to_bytes()`` for every column, byte-identical, in bulk.
-
-    The canonical encoding's only variable-width parts are the two record
-    ids (``encode_int`` uses the minimal signed big-endian width), so the
-    planes are grouped by id widths and each group is assembled as one
-    fixed-width byte matrix.  Negative or enormous ids (never produced by
-    ``Dataset.from_rows``, but legal) fall back to the object encoder.
-    """
-    count = int(hyper_i.shape[0])
-    result: List[bytes] = [b""] * count
-    plain = (hyper_i >= 0) & (hyper_j >= 0) & (hyper_i < 2**55) & (hyper_j < 2**55)
-    for index in np.nonzero(~plain)[0].tolist():
-        result[index] = Hyperplane(
-            i=int(hyper_i[index]),
-            j=int(hyper_j[index]),
-            normal=(float(hyper_normal[index]),),
-            offset=float(hyper_offset[index]),
-        ).to_bytes()
-    rows = np.nonzero(plain)[0]
-    if rows.shape[0] == 0:
-        return result
-
-    def int_width(values: np.ndarray) -> np.ndarray:
-        # max(1, (bit_length + 8) // 8) for non-negative ints: one byte up
-        # to 127, two up to 32767, ...
-        width = np.ones(values.shape[0], dtype=np.int64)
-        for extra in range(1, 8):
-            width += values >= np.int64(1) << np.int64(8 * extra - 1)
-        return width
-
-    width_i = int_width(hyper_i[rows])
-    width_j = int_width(hyper_j[rows])
-    normal_be = (
-        np.ascontiguousarray(hyper_normal[rows], dtype=">f8").view(np.uint8).reshape(-1, 8)
-    )
-    offset_be = (
-        np.ascontiguousarray(hyper_offset[rows], dtype=">f8").view(np.uint8).reshape(-1, 8)
-    )
-    group_key = width_i * 16 + width_j
-    for key in np.unique(group_key).tolist():
-        members = np.nonzero(group_key == key)[0]
-        li, lj = key // 16, key % 16
-        payload = 19 + (9 + li) + (9 + lj) + 17 + 17
-        total = 9 + payload
-        matrix = np.empty((members.shape[0], total), dtype=np.uint8)
-        matrix[:, 0] = 6  # sequence tag
-        matrix[:, 1:9] = np.frombuffer(payload.to_bytes(8, "big"), dtype=np.uint8)
-        matrix[:, 9:28] = np.frombuffer(_HYPER_STR, dtype=np.uint8)
-        cursor = 28
-        for length, values in ((li, hyper_i[rows[members]]), (lj, hyper_j[rows[members]])):
-            matrix[:, cursor] = 1  # int tag
-            matrix[:, cursor + 1 : cursor + 9] = np.frombuffer(
-                length.to_bytes(8, "big"), dtype=np.uint8
-            )
-            for byte in range(length):
-                shift = np.int64(8 * (length - 1 - byte))
-                matrix[:, cursor + 9 + byte] = (values >> shift) & np.int64(0xFF)
-            cursor += 9 + length
-        matrix[:, cursor] = 5  # float-vector tag
-        matrix[:, cursor + 1 : cursor + 9] = np.frombuffer(
-            (8).to_bytes(8, "big"), dtype=np.uint8
-        )
-        matrix[:, cursor + 9 : cursor + 17] = normal_be[members]
-        cursor += 17
-        matrix[:, cursor] = 2  # float tag
-        matrix[:, cursor + 1 : cursor + 9] = np.frombuffer(
-            (8).to_bytes(8, "big"), dtype=np.uint8
-        )
-        matrix[:, cursor + 9 : cursor + 17] = offset_be[members]
-        blob = matrix.tobytes()
-        for offset_index, member in enumerate(members.tolist()):
-            result[int(rows[member])] = blob[
-                offset_index * total : (offset_index + 1) * total
-            ]
-    return result
-
-
-# ---------------------------------------------------------------------------
 # Differential breakpoint plan
 # ---------------------------------------------------------------------------
 def _plan_update(
@@ -309,7 +140,7 @@ def _plan_update(
     inserted_id: Optional[int],
     deleted_id: Optional[int],
     deleted_function,
-) -> Optional[BulkPlanState]:
+) -> BulkPlanState:
     """Kept-breakpoint plan of the final function set, resolved differentially.
 
     Clean tolerance clusters keep their old verdicts verbatim; dirty ones
@@ -380,70 +211,24 @@ def _plan_update(
 
     kept = old_kept.copy()
     if values.shape[0]:
-        union_values = np.concatenate([values, removed_values])
-        order = np.argsort(union_values, kind="stable")
-        sorted_values = union_values[order]
-        cluster_start = np.empty(sorted_values.shape[0], dtype=bool)
-        cluster_start[0] = True
-        # Two candidates interact exactly when one of the replay's float
-        # predicates says so: ``pred + tolerance < value`` (predecessor
-        # side) or ``value < succ - tolerance`` (successor side).  A
-        # cluster boundary therefore requires BOTH to hold -- computing
-        # the gap by subtraction is NOT float-equivalent (e.g. with
-        # tolerance 0.1: fl(1.1) - fl(1.0) > 0.1 yet fl(1.0 + 0.1) ==
-        # fl(1.1)).  Consecutive independence separates whole clusters:
-        # fl(a' + t) is monotone in a', so any member left of the boundary
-        # clears both predicates against any member right of it.
-        left_values = sorted_values[:-1]
-        right_values = sorted_values[1:]
-        np.logical_and(
-            left_values + tolerance < right_values,
-            left_values < right_values - tolerance,
-            out=cluster_start[1:],
+        cluster_of, sizes = tolerance_clusters(
+            np.concatenate([values, removed_values]), tolerance
         )
-        cluster_of_sorted = np.cumsum(cluster_start) - 1
-        cluster_of = np.empty(union_values.shape[0], dtype=np.int64)
-        cluster_of[order] = cluster_of_sorted
-        cluster_count = int(cluster_of_sorted[-1]) + 1
-        dirty = np.zeros(cluster_count, dtype=bool)
+        dirty = np.zeros(sizes.shape[0], dtype=bool)
         dirty[cluster_of[values.shape[0] :]] = True  # lost a member
         dirty[cluster_of[: values.shape[0]][is_new_pair]] = True  # gained one
-        # Singleton clusters of a new pair need no replay bookkeeping: an
-        # isolated candidate is always kept.  Multi-member dirty clusters
-        # are replayed in final pairwise order with the bisect rule of
-        # ITree._bulk_plan (interactions never cross a > tolerance gap, so
-        # per-cluster replay with the domain bounds as fallback neighbours
-        # is exact).
-        sizes = np.bincount(cluster_of_sorted, minlength=cluster_count)
+        # Dirty clusters are replayed in final pairwise order (a dirty
+        # singleton is a new pair, always kept).  The replay's verdict
+        # stands for pre-existing candidates too: a tolerance cascade that
+        # drops an old kept breakpoint merges its two subdomains, and one
+        # that resurrects a dropped candidate splits a subdomain -- both
+        # read downstream as non-matching interval bounds, i.e. re-sorted
+        # subdomains.
         member_cluster = cluster_of[: values.shape[0]]
-        replay_mask = dirty[member_cluster]
-        kept[is_new_pair & replay_mask & (sizes[member_cluster] == 1)] = True
-        multi = replay_mask & (sizes[member_cluster] > 1)
-        if np.any(multi):
-            import bisect
-
-            by_cluster: Dict[int, List[int]] = {}
-            for index in np.nonzero(multi)[0].tolist():
-                by_cluster.setdefault(int(member_cluster[index]), []).append(index)
-            for members in by_cluster.values():
-                kept_values: List[float] = []
-                for index in members:  # already in final pairwise order
-                    value = float(values[index])
-                    slot = bisect.bisect_left(kept_values, value)
-                    predecessor = kept_values[slot - 1] if slot else domain_low
-                    successor = (
-                        kept_values[slot] if slot < len(kept_values) else domain_high
-                    )
-                    verdict = predecessor + tolerance < value < successor - tolerance
-                    if verdict:
-                        kept_values.insert(slot, value)
-                    # The replay's verdict stands for pre-existing
-                    # candidates too: a tolerance cascade that drops an old
-                    # kept breakpoint merges its two subdomains, and one
-                    # that resurrects a dropped candidate splits a
-                    # subdomain -- both read downstream as non-matching
-                    # interval bounds, i.e. re-sorted subdomains.
-                    kept[index] = verdict
+        replayed = np.nonzero(dirty[member_cluster])[0]
+        kept[replayed] = replay_tolerance(
+            values, replayed, member_cluster, sizes, domain_low, domain_high, tolerance
+        )
 
     kept_index = np.nonzero(kept)[0]
     order = np.argsort(values[kept_index], kind="stable")
@@ -465,50 +250,33 @@ def _derive_state(tree) -> Optional[IncrementalState]:
     if tree._incremental_state is not None:
         return tree._incremental_state
     itree = tree.itree
-    if itree.builder != "bulk" or itree.bulk_state is None:
-        return None
-    if itree.perm_change is None or itree.shared_order is None:
+    if itree.bulk_state is None or itree.perm_change is None:  # not a bulk shape
         return None
     change_rows, change_cols, change_vals = itree.perm_change
     permutation = itree.shared_order.permutation
-    if tree._batched_forest is not None and tree._batched_leaf_map is not None:
-        arena, roots, row_ids = tree._batched_forest
-        interval_roots = np.empty(roots.shape[0], dtype=np.int64)
-        interval_roots[row_ids] = roots
-        leaf_map, min_index, max_index = tree._batched_leaf_map
-        leaf_map = dict(leaf_map)
-    elif tree._lazy_forest is not None:
-        lazy = getattr(itree, "_lazy_leaf_data", None)
-        if lazy is None:
+    columns = itree.columns
+    arena, _leaf_count, _records, root_indices = tree._forest
+    rows = columns["leaf_row"]
+    order = np.argsort(columns["leaf_witness"][:, 0], kind="stable")
+    if not np.array_equal(rows[order], np.arange(rows.shape[0], dtype=np.int64)):
+        # Rows are not stored in interval order (never the case for bulk
+        # builds and their round trips) -- the cached change points would
+        # not describe interval transitions.
+        return None
+    interval_roots = root_indices[order]
+    digest_of = {}
+    leaves = np.nonzero(arena.left < 0)[0]
+    for index in leaves.tolist():
+        digest_of[arena.digests[index].tobytes()] = index
+    leaf_map = {}
+    for record in tree.dataset.records:
+        index = digest_of.get(sha256(record.to_bytes()))
+        if index is None:  # pragma: no cover - arena always holds them
             return None
-        arena, _leaf_count, _records, root_indices = tree._lazy_forest
-        witnesses, rows = lazy
-        rows = np.asarray(rows, dtype=np.int64)
-        witness_values = np.asarray(witnesses, dtype=np.float64).reshape(
-            rows.shape[0], -1
-        )[:, 0]
-        order = np.argsort(witness_values, kind="stable")
-        if not np.array_equal(rows[order], np.arange(rows.shape[0], dtype=np.int64)):
-            # Rows are not stored in interval order (never the case for
-            # bulk builds and their round trips) -- the cached change
-            # points would not describe interval transitions.
-            return None
-        interval_roots = np.asarray(root_indices, dtype=np.int64)[order]
-        digest_of = {}
-        leaves = np.nonzero(arena.left < 0)[0]
-        for index in leaves.tolist():
-            digest_of[arena.digests[index].tobytes()] = index
-        leaf_map = {}
-        for record in tree.dataset.records:
-            index = digest_of.get(sha256(record.to_bytes()))
-            if index is None:  # pragma: no cover - arena always holds them
-                return None
-            leaf_map[record.record_id] = index
-        min_index = digest_of.get(sha256(MIN_TOKEN))
-        max_index = digest_of.get(sha256(MAX_TOKEN))
-        if min_index is None or max_index is None:  # pragma: no cover
-            return None
-    else:
+        leaf_map[record.record_id] = index
+    min_index = digest_of.get(sha256(MIN_TOKEN))
+    max_index = digest_of.get(sha256(MAX_TOKEN))
+    if min_index is None or max_index is None:  # pragma: no cover
         return None
     return IncrementalState(
         plan=itree.bulk_state,
@@ -578,8 +346,6 @@ def apply_incremental_update(
         deleted_id,
         deleted_function,
     )
-    if new_plan is None:
-        return None
 
     if (
         isinstance(state.permutation, LazySplicedPermutation)
@@ -587,25 +353,26 @@ def apply_incremental_update(
     ):
         state.permutation = state.permutation.materialize()
 
-    builder = _UpdateBuilder(tree, new_dataset, final_functions, state, new_plan,
-                             domain_low, domain_high)
+    builder = _UpdateBuilder(tree, final_functions, state, new_plan, domain_low, domain_high)
     result = (
         builder.build_insert(inserted)
         if inserted is not None
         else builder.build_delete(deleted_id)
     )
-    arrays, root_hash, new_state = result
+    columns, arena, leaf_roots, intersection, root_hash, new_state = result
 
     updated = IFMHTree.from_update(
         new_dataset,
         tree.template,
-        arrays,
+        columns,
+        arena=arena,
+        root_indices=leaf_roots,
+        intersection_hashes=intersection,
         config=tree.config,
         counters=tree.counters,
         engine=engine,
         epoch=epoch,
         root_hash=root_hash,
-        subdomain_count=new_plan.breakpoints.shape[0] + 1,
         incremental_state=new_state,
         signer=tree.signer,
     )
@@ -620,7 +387,6 @@ class _UpdateBuilder:
     def __init__(
         self,
         tree,
-        new_dataset: Dataset,
         final_functions,
         state: IncrementalState,
         new_plan: BulkPlanState,
@@ -628,12 +394,8 @@ class _UpdateBuilder:
         domain_high: float,
     ):
         self.tree = tree
-        self.new_dataset = new_dataset
-        self.final_functions = final_functions
         self.state = state
         self.new_plan = new_plan
-        self.domain_low = domain_low
-        self.domain_high = domain_high
         self.hash_function = tree.hash_function
 
         # Final base order (ascending record id), as SharedFunctionOrder uses.
@@ -658,14 +420,7 @@ class _UpdateBuilder:
         # New interval geometry.
         breakpoints = new_plan.breakpoints
         count = breakpoints.shape[0]
-        self.low_bounds = np.empty(count + 1, dtype=np.float64)
-        self.high_bounds = np.empty(count + 1, dtype=np.float64)
-        self.low_bounds[0] = domain_low
-        self.low_bounds[1:] = breakpoints
-        self.high_bounds[-1] = domain_high
-        self.high_bounds[:-1] = breakpoints
-        # Bit-identical to IntervalEngine.witness: (low + high) / 2.0.
-        self.witnesses = (self.low_bounds + self.high_bounds) / 2.0
+        self.witnesses = interval_witnesses(breakpoints, domain_low, domain_high)
 
         # Which new boundary is which old kept breakpoint (matched by pair
         # identity; kept breakpoints are strictly increasing, so the value
@@ -699,23 +454,9 @@ class _UpdateBuilder:
 
     # ------------------------------------------------------------ scoring
     def _resorted_rows(self, intervals: np.ndarray) -> Dict[int, np.ndarray]:
-        """Stable argsort of the final functions at the given new witnesses.
-
-        Bit-identical to ITree._finalize_leaves_bulk: same broadcasted
-        ``w * slope + constant`` arithmetic, same stable argsort.
-        """
-        witness = self.witnesses[intervals]
-        overrides: Dict[int, np.ndarray] = {}
-        for start in range(0, intervals.shape[0], _RANK_CHUNK):
-            chunk = slice(start, start + _RANK_CHUNK)
-            scores = (
-                witness[chunk, None] * self.final_slopes[None, :]
-                + self.final_constants[None, :]
-            )
-            rows = np.argsort(scores, axis=1, kind="stable").astype(np.int32)
-            for offset, interval in enumerate(intervals[chunk].tolist()):
-                overrides[interval] = rows[offset]
-        return overrides
+        """The sorted rows of the given new intervals, as a fresh build sorts them."""
+        rows = sorted_rows(self.witnesses[intervals], self.final_slopes, self.final_constants)
+        return dict(zip(intervals.tolist(), rows))
 
     def _insert_ranks(self, witnesses: np.ndarray, g_position: int) -> np.ndarray:
         """Sorted slot the inserted function takes at each witness.
@@ -832,7 +573,6 @@ class _UpdateBuilder:
         max_index: int,
         hasher: DeltaForestHasher,
     ):
-        state = self.state
         new_plan = self.new_plan
         # ---- changed-path forest over the change-point leaf matrix
         leaf_of_position = np.fromiter(
@@ -856,29 +596,21 @@ class _UpdateBuilder:
         )
         arena = hasher.finalize()
 
-        # ---- balanced skeleton + reverse-pre-order step-3 propagation
-        skeleton = balanced_preorder(new_plan.hyper_normal)
+        # ---- the balanced tree's pre-order columns + step-3 propagation
+        skeleton, columns = preorder_columns(new_plan, self.witnesses)
+        columns["permutation"] = lazy
         hyper_bytes = self._hyper_bytes()
-        intersection, root_hash = self._propagate(skeleton, roots, arena, hyper_bytes)
-
-        arrays: Dict[str, np.ndarray] = {
-            "node_is_leaf": skeleton.flags,
-            "hyper_i": new_plan.hyper_i[skeleton.internal_mid],
-            "hyper_j": new_plan.hyper_j[skeleton.internal_mid],
-            "hyper_normal": new_plan.hyper_normal[skeleton.internal_mid].reshape(-1, 1),
-            "hyper_offset": new_plan.hyper_offset[skeleton.internal_mid],
-            "leaf_witness": self.witnesses[skeleton.leaf_interval].reshape(-1, 1),
-            "leaf_row": skeleton.leaf_interval,
-            "permutation": lazy,
-            "leaf_root_index": roots[skeleton.leaf_interval],
-            "intersection_hash": np.frombuffer(
-                b"".join(intersection), dtype=np.uint8
-            ).reshape(len(intersection), DIGEST_SIZE),
-        }
-        arena_arrays = arena.to_arrays()
-        arrays["arena_digests"] = arena_arrays["digests"]
-        arrays["arena_left"] = arena_arrays["left"]
-        arrays["arena_right"] = arena_arrays["right"]
+        leaf_roots = roots[skeleton.leaf_interval]
+        intersection, root_hash = propagation.propagate_batched(
+            skeleton.flags,
+            arena.digests[leaf_roots].tobytes(),
+            (
+                [hyper_bytes[mid] for mid in skeleton.internal_mid.tolist()]
+                if self.tree.bind_intersections
+                else None
+            ),
+            self.hash_function,
+        )
 
         new_state = IncrementalState(
             plan=new_plan,
@@ -894,7 +626,7 @@ class _UpdateBuilder:
             hyper_bytes=hyper_bytes,
             forest_tables=hasher.sorted_pair_tables(),
         )
-        return arrays, root_hash, new_state
+        return columns, arena, leaf_roots, intersection, root_hash, new_state
 
     def _hyper_bytes(self) -> List[bytes]:
         """Canonical encodings of the new plan's hyperplanes (cache-reusing).
@@ -906,7 +638,7 @@ class _UpdateBuilder:
         new_plan = self.new_plan
         old_bytes = self.state.hyper_bytes
         if old_bytes is None:
-            return _encode_hyperplanes(
+            return propagation.encode_hyperplanes(
                 new_plan.hyper_i,
                 new_plan.hyper_j,
                 new_plan.hyper_normal,
@@ -916,7 +648,7 @@ class _UpdateBuilder:
         result: List[bytes] = [b""] * count
         missing = np.nonzero(self.old_rank < 0)[0]
         if missing.shape[0]:
-            fresh = _encode_hyperplanes(
+            fresh = propagation.encode_hyperplanes(
                 new_plan.hyper_i[missing],
                 new_plan.hyper_j[missing],
                 new_plan.hyper_normal[missing],
@@ -930,58 +662,6 @@ class _UpdateBuilder:
             if rank >= 0:
                 result[k] = old_bytes[rank]
         return result
-
-    def _propagate(
-        self,
-        skeleton: _Skeleton,
-        roots: np.ndarray,
-        arena: MerkleArena,
-        hyper_bytes: List[bytes],
-    ) -> Tuple[List[bytes], bytes]:
-        """Reverse-pre-order step-3 propagation over the new skeleton.
-
-        Returns the intersection digests (pre-order-internal order) and the
-        root hash.  One logical and one physical hash per intersection
-        node, exactly like the stack walk of IFMHTree._propagate_hashes.
-        """
-        bind = self.tree.bind_intersections
-        leaf_roots = roots[skeleton.leaf_interval]
-        leaf_blob = arena.digests[leaf_roots].tobytes()
-        total = skeleton.flags.shape[0]
-        digests: List[Optional[bytes]] = [None] * total
-        for ordinal, node in enumerate(skeleton.leaf_node.tolist()):
-            start = ordinal * DIGEST_SIZE
-            digests[node] = leaf_blob[start : start + DIGEST_SIZE]
-        sha = sha256
-        internal_nodes = skeleton.internal_node.tolist()
-        above = skeleton.above_node.tolist()
-        below = skeleton.below_node.tolist()
-        mids = skeleton.internal_mid.tolist()
-        prefix = DIGEST_SIZE.to_bytes(8, "big")
-        for cursor in range(len(internal_nodes) - 1, -1, -1):
-            above_digest = digests[above[cursor]]
-            below_digest = digests[below[cursor]]
-            if bind:
-                plane = hyper_bytes[mids[cursor]]
-                preimage = (
-                    len(plane).to_bytes(8, "big")
-                    + plane
-                    + prefix
-                    + above_digest
-                    + prefix
-                    + below_digest
-                )
-            else:
-                preimage = prefix + above_digest + prefix + below_digest
-            digests[internal_nodes[cursor]] = sha(preimage)
-        count = len(internal_nodes)
-        if count:
-            self.tree.counters.add_hash(count)
-            self.tree.counters.add_physical_hash(count)
-            self.hash_function.call_count += count
-            self.hash_function.physical_count += count
-        intersection = [digests[node] for node in internal_nodes]
-        return intersection, digests[0]
 
     # ------------------------------------------------------------- insert
     def build_insert(self, record: Record):

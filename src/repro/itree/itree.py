@@ -1,27 +1,29 @@
 """I-tree construction and search.
 
-Two construction paths are available:
+Two builders assemble the tree:
 
-* The **incremental** path follows the paper's insertion algorithm (section
-  3.1, step 1): for every pair of functions, the intersection ``I_{i,j}`` is
-  inserted with a breadth-first walk from the root; subdomain nodes whose
-  region it cuts are converted into intersection nodes, and intersection
-  nodes whose region it cuts forward the insertion to both children.  It
-  works for any dimension and builds the paper's tree shape (the figures
-  use it).
+* The **incremental** builder follows the paper's insertion algorithm
+  (section 3.1, step 1): for every pair of functions, the intersection
+  ``I_{i,j}`` is inserted with a breadth-first walk from the root; subdomain
+  nodes whose region it cuts are converted into intersection nodes, and
+  intersection nodes whose region it cuts forward the insertion to both
+  children.  It works for any dimension and builds the paper's tree shape
+  (the figures use it).  Every leaf's functions are then sorted at an
+  interior witness point.
 
-* The **bulk** path (univariate configuration only) computes all pairwise
-  breakpoints in one vectorized numpy pass, sorts them once, and assembles a
-  *balanced* I-tree directly -- no per-hyperplane BFS and no repeated
-  ``splits()`` engine calls.  The resulting partition is identical to the
-  incremental path's; the tree *shape* is the balanced one, which equals
-  what the incremental insertion would produce when fed the same hyperplanes
-  in median-first order
-  (:func:`repro.reference.balanced_incremental_itree`, which the property
-  tests check bit-identical structure and hashes against).
-
-After construction, every leaf's functions are sorted at an interior witness
-point -- vectorized over all leaves at once on the bulk path.
+* The **bulk** builder (univariate configuration only) computes all
+  pairwise breakpoints in one vectorized numpy pass, sorts them once, and
+  emits the *balanced* tree over them directly as pre-order columns
+  (:func:`balanced_preorder`, :func:`preorder_columns`) with every leaf's
+  sorted order from one vectorized argsort (:func:`sorted_rows`).  The
+  node skeleton is then created from those columns by the same loader an
+  artifact load uses (:meth:`ITree.from_arrays`), and leaves fill their
+  region, witness and sorted view on first use
+  (:meth:`ITree.materialize_leaf`).  The partition is identical to the
+  incremental builder's; the tree *shape* is the balanced one, which equals
+  what the incremental insertion produces when fed the same hyperplanes in
+  median-first order (:func:`repro.reference.balanced_incremental_itree`,
+  which the tests check column for column and leaf for leaf).
 
 Search descends one root-to-leaf path, choosing the *above* child when
 ``f_i(X) - f_j(X) >= 0`` and the *below* child otherwise, and records the
@@ -51,11 +53,6 @@ __all__ = ["ITree", "SearchStep", "SearchTrace", "BulkPlanState", "BUILDERS"]
 
 #: Supported construction strategies (``"auto"`` resolves to one of the rest).
 BUILDERS = ("incremental", "bulk", "auto")
-
-#: Leaves scored per vectorized chunk when finalizing a bulk-built tree
-#: (bounds peak memory to ``chunk * n_functions`` floats).
-_FINALIZE_CHUNK = 2048
-
 
 def _functions_by_index(functions: Sequence[LinearFunction]) -> list[LinearFunction]:
     """Functions in ascending ``index`` order, with duplicates rejected.
@@ -95,23 +92,6 @@ class BulkPlanState:
     hyper_j: np.ndarray
     hyper_normal: np.ndarray
     hyper_offset: np.ndarray
-
-    @classmethod
-    def from_hyperplanes(
-        cls, breakpoints: np.ndarray, hyperplanes: Sequence[Hyperplane]
-    ) -> "BulkPlanState":
-        count = len(hyperplanes)
-        return cls(
-            breakpoints=np.ascontiguousarray(breakpoints, dtype=np.float64),
-            hyper_i=np.fromiter((h.i for h in hyperplanes), dtype=np.int64, count=count),
-            hyper_j=np.fromiter((h.j for h in hyperplanes), dtype=np.int64, count=count),
-            hyper_normal=np.fromiter(
-                (h.normal[0] for h in hyperplanes), dtype=np.float64, count=count
-            ),
-            hyper_offset=np.fromiter(
-                (h.offset for h in hyperplanes), dtype=np.float64, count=count
-            ),
-        )
 
 
 @dataclass(frozen=True)
@@ -183,27 +163,43 @@ class ITree:
                 f"the {builder!r} builder requires a 1-D domain and an IntervalEngine"
             )
         self.builder = builder
-        self.root = ITreeNode(region=Region.full(domain))
         self._insertion_checks = 0
         #: One shared 2-D permutation array covering every leaf's sorted
-        #: order (set by leaf finalization; leaves hold lazy views into it).
+        #: order (leaves hold lazy views into it).
         self.shared_order: Optional[SharedFunctionOrder] = None
-        #: Sorted kept-breakpoint plan (bulk builds only; derived lazily for
-        #: bulk-published artifact loads).  ``None`` for incremental shapes.
+        #: Sorted kept-breakpoint plan (bulk builds and bulk-built artifact
+        #: loads).  ``None`` for incremental shapes.
         self.bulk_state: Optional[BulkPlanState] = None
         #: Change points of the shared permutation -- ``(rows, cols, vals)``
         #: of the cells where row ``t`` differs from row ``t - 1`` (bulk
-        #: builds only).  The incremental-update path consumes these instead
-        #: of re-diffing the dense matrix.
+        #: shapes only).  The incremental-update path and the publish
+        #: consume these instead of re-diffing the dense matrix.
         self.perm_change = None
-        #: Set only on artifact-loaded trees (see :meth:`from_arrays`).
-        self._lazy_leaf_data = None
-        self._subdomain_count: Optional[int] = None
-        self._node_count: Optional[int] = None
-        if builder == "bulk":
-            self._bulk_build()
-        else:
+        #: The pre-order columns the node skeleton was loaded from
+        #: (:func:`tree_columns`); ``None`` for incremental builds.
+        self.columns: Optional[Dict[str, np.ndarray]] = None
+        if builder == "incremental":
+            self.root = ITreeNode(region=Region.full(domain))
             self._build(pairwise_hyperplanes(self.functions))
+        else:
+            # The balanced tree as pre-order columns, every interval's sort
+            # in one argsort, then the artifact loader's node skeleton.
+            plan = self._bulk_plan()
+            ordered_functions = _functions_by_index(self.functions)
+            witnesses = interval_witnesses(plan.breakpoints, domain.lower[0], domain.upper[0])
+            permutation = sorted_rows(
+                witnesses,
+                np.array([f.coefficients[0] for f in ordered_functions], dtype=float),
+                np.array([f.constant for f in ordered_functions], dtype=float),
+            )
+            _skeleton, columns = preorder_columns(plan, witnesses)
+            self.bulk_state = plan
+            self._insertion_checks = int(plan.breakpoints.shape[0])  # one per split
+            self._load_columns(
+                columns,
+                SharedFunctionOrder(ordered_functions, permutation),
+                _permutation_change_points(permutation),
+            )
 
     @classmethod
     def bulk_build(
@@ -244,9 +240,9 @@ class ITree:
         """Sort the functions of every leaf and assign stable subdomain ids.
 
         The per-leaf sorted lists are packed into one shared 2-D
-        permutation array (see :class:`SharedFunctionOrder`); every leaf
-        keeps a lazy view with the exact order ``sort_functions_at``
-        produced, so downstream behaviour is unchanged.
+        permutation array (see :class:`SharedFunctionOrder`), one row per
+        leaf in pre-order; every leaf keeps a lazy view with the exact order
+        ``sort_functions_at`` produced, so downstream behaviour is unchanged.
         """
         leaves = []
         for node in self.root.iter_subtree():
@@ -273,11 +269,8 @@ class ITree:
         self._assign_subdomain_ids()
 
     def _assign_subdomain_ids(self) -> None:
-        """Stable ids in pre-order traversal order (shared by both builders).
-
-        Also caches the node and subdomain counts: the tree is immutable
-        after construction, and the counts are read per benchmark run.
-        """
+        """Stable ids in pre-order traversal order, as the column loader
+        assigns them; also counts the nodes and subdomains once."""
         subdomain_id = 0
         node_count = 0
         for node in self.root.iter_subtree():
@@ -289,13 +282,15 @@ class ITree:
         self._node_count = node_count
 
     # ------------------------------------------------- build (bulk, d = 1)
-    def _bulk_plan(self) -> tuple[np.ndarray, list[Hyperplane]]:
-        """Sorted, deduplicated breakpoints plus their hyperplanes.
+    def _bulk_plan(self) -> BulkPlanState:
+        """Sorted, deduplicated breakpoints plus their hyperplane fields.
 
         Replicates the incremental path's pruning exactly: hyperplanes whose
         slope difference is below the engine tolerance never split, nor do
         breakpoints outside the open domain interval or within tolerance of
         an already-kept breakpoint (those land on an existing boundary).
+        Which near-duplicates survive depends on the pairwise insertion
+        order; :func:`replay_tolerance` decides it cluster by cluster.
         """
         tolerance = self.engine.tolerance
         slope_tolerance = max(tolerance, COEFFICIENT_TOLERANCE)
@@ -303,116 +298,27 @@ class ITree:
             self.functions, slope_tolerance
         )
         low, high = self.domain.lower[0], self.domain.upper[0]
+        # The exact float form of IntervalEngine.splits (``low + tol < bp <
+        # high - tol``), so the kept set agrees with the incremental builder
+        # bit for bit.  Candidates stay in pairwise (insertion) order.
         inside = (breakpoints > low + tolerance) & (breakpoints < high - tolerance)
-        # Candidate columns stay in pairwise (insertion) order here.
-        candidates = (
-            breakpoints[inside],
-            left[inside],
-            right[inside],
-            normals[inside],
-            offsets[inside],
+        breakpoints, left, right, normals, offsets = (
+            column[inside] for column in (breakpoints, left, right, normals, offsets)
         )
-        order = np.argsort(candidates[0], kind="stable")
-        sorted_breakpoints = candidates[0][order]
-        # All comparisons below use the exact float forms of
-        # IntervalEngine.splits (``low + tol < bp < high - tol``) so the kept
-        # set agrees with the incremental builder bit for bit.
-        if len(sorted_breakpoints) == 0 or np.all(
-            sorted_breakpoints[1:] > sorted_breakpoints[:-1] + tolerance
-        ):
-            # Fast path: no two candidates within tolerance, so every
-            # insertion order keeps all of them.
-            breakpoints, left, right, normals, offsets = (c[order] for c in candidates)
-        else:
-            # Tolerance chains: which near-duplicates survive depends on the
-            # insertion order, so replay the incremental path's drop rule
-            # (a breakpoint is dropped iff it lands within tolerance of its
-            # containing leaf's boundaries, i.e. of its kept neighbours) in
-            # the same pairwise order -- the kept *set* then matches the
-            # incremental builder exactly.
-            import bisect
-
-            kept_values: list[float] = []
-            kept_positions: list[int] = []
-            for position, value in enumerate(candidates[0].tolist()):
-                slot = bisect.bisect_left(kept_values, value)
-                predecessor = kept_values[slot - 1] if slot else low
-                successor = kept_values[slot] if slot < len(kept_values) else high
-                if predecessor + tolerance < value < successor - tolerance:
-                    kept_values.insert(slot, value)
-                    kept_positions.insert(slot, position)
-            breakpoints, left, right, normals, offsets = (c[kept_positions] for c in candidates)
-        indices = [f.index for f in self.functions]
-        hyperplanes = [
-            Hyperplane(i=indices[p], j=indices[q], normal=(normal,), offset=offset)
-            for p, q, normal, offset in zip(
-                left.tolist(), right.tolist(), normals.tolist(), offsets.tolist()
-            )
-        ]
-        return breakpoints, hyperplanes
-
-    def _bulk_build(self) -> None:
-        """Assemble a balanced tree directly from the sorted breakpoints.
-
-        Produces exactly the tree that :meth:`_build` would produce when fed
-        the kept hyperplanes in median-first order, without any BFS walks or
-        redundant ``splits()`` probes.
-        """
-        breakpoints, hyperplanes = self._bulk_plan()
-        self.bulk_state = BulkPlanState.from_hyperplanes(breakpoints, hyperplanes)
-        count = len(hyperplanes)
-        leaves: list[Optional[ITreeNode]] = [None] * (count + 1)
-        stack: list[tuple[ITreeNode, int, int]] = [(self.root, 0, count)]
-        while stack:
-            node, low, high = stack.pop()
-            if low >= high:
-                leaves[low] = node
-                continue
-            mid = (low + high) // 2
-            hyperplane = hyperplanes[mid]
-            # check=False: the planner vetted every breakpoint at insertion
-            # time; re-validating against the final (narrower) bounds here
-            # could reject 1-ulp-of-tolerance gaps the incremental insertion
-            # would have accepted.
-            above_region, below_region = self.engine.split(node.region, hyperplane, check=False)
-            above, below = node.convert_to_intersection(hyperplane, above_region, below_region)
-            self._insertion_checks += 1
-            # The child covering the smaller interval side holds the smaller
-            # breakpoints: ``above`` is right of the breakpoint for positive
-            # slopes and left of it for negative ones.
-            left_child, right_child = (
-                (below, above) if hyperplane.normal[0] > 0 else (above, below)
-            )
-            stack.append((left_child, low, mid))
-            stack.append((right_child, mid + 1, high))
-        self._finalize_leaves_bulk([leaf for leaf in leaves if leaf is not None])
-
-    def _finalize_leaves_bulk(self, leaves: Sequence[ITreeNode]) -> None:
-        """Vectorized leaf finalization: score every leaf witness in one pass.
-
-        Bit-compatible with :meth:`_finalize_leaves`: witnesses come from the
-        engine, per-element score arithmetic matches
-        :meth:`LinearFunction.evaluate` for d = 1, and the stable argsort over
-        index-ordered functions reproduces ``sort_functions_at`` exactly.
-        """
-        ordered_functions = _functions_by_index(self.functions)
-        slopes = np.array([f.coefficients[0] for f in ordered_functions], dtype=float)
-        constants = np.array([f.constant for f in ordered_functions], dtype=float)
-        for leaf in leaves:
-            leaf.witness = self.engine.witness(leaf.region)
-        witnesses = np.array([leaf.witness[0] for leaf in leaves], dtype=float)
-        # The argsort rows ARE the shared permutation: stored once as a 2-D
-        # integer array instead of Theta(leaves) Python lists of references.
-        permutation = np.empty((len(leaves), len(ordered_functions)), dtype=np.int32)
-        for start in range(0, len(leaves), _FINALIZE_CHUNK):
-            chunk = slice(start, start + _FINALIZE_CHUNK)
-            scores = witnesses[chunk, None] * slopes[None, :] + constants[None, :]
-            permutation[chunk] = np.argsort(scores, axis=1, kind="stable")
-        self.shared_order = SharedFunctionOrder(ordered_functions, permutation)
-        self.perm_change = _permutation_change_points(permutation)
-        for row, leaf in enumerate(leaves):
-            leaf.sorted_functions = self.shared_order.view(row)
-        self._assign_subdomain_ids()
+        members = np.arange(breakpoints.shape[0], dtype=np.int64)
+        cluster_of, sizes = tolerance_clusters(breakpoints, tolerance)
+        kept = members[replay_tolerance(breakpoints, members, cluster_of, sizes, low, high, tolerance)]
+        kept = kept[np.argsort(breakpoints[kept], kind="stable")]
+        indices = np.fromiter(
+            (f.index for f in self.functions), dtype=np.int64, count=len(self.functions)
+        )
+        return BulkPlanState(
+            breakpoints=breakpoints[kept],
+            hyper_i=indices[left[kept]],
+            hyper_j=indices[right[kept]],
+            hyper_normal=normals[kept],
+            hyper_offset=offsets[kept],
+        )
 
     # --------------------------------------------------------------- codecs
     def to_arrays(self) -> Dict[str, np.ndarray]:
@@ -425,15 +331,22 @@ class ITree:
         columns one entry per subdomain (in pre-order-leaf order, which is
         subdomain-id order).  Regions are *not* stored: they are fully
         determined by the descent and rebuilt bit-identically by
-        :meth:`from_arrays`.
+        :meth:`from_arrays`.  Only an incremental build walks its nodes;
+        every other tree writes the columns it was loaded from.
         """
         if self.shared_order is None:
             raise ConstructionError("cannot serialize an unfinalized I-tree")
-        if self._lazy_leaf_data is not None:
-            # Re-publishing a loaded tree: every leaf must be materialized
-            # so its witness and sorted view can be read back out.
-            for leaf in self.loaded_leaf_nodes:
-                self.materialize_leaf(leaf)
+        columns = self.columns if self.columns is not None else self.walk_columns()
+        return encode_tree_arrays(
+            columns,
+            self.domain.dimension,
+            self.shared_order.permutation,
+            self.perm_change,
+        )
+
+    def walk_columns(self) -> Dict[str, list]:
+        """The pre-order columns read off the nodes, every leaf materialised
+        (the writer of incremental builds; the tests' check on the rest)."""
         flags: list[int] = []
         hyper_i: list[int] = []
         hyper_j: list[int] = []
@@ -443,6 +356,7 @@ class ITree:
         leaf_row: list[int] = []
         for node in self.root.iter_subtree():
             if node.is_subdomain:
+                self.materialize_leaf(node)
                 flags.append(1)
                 leaf_witness.append(node.witness)
                 leaf_row.append(node.sorted_functions.row_index)
@@ -452,20 +366,15 @@ class ITree:
                 hyper_j.append(node.hyperplane.j)
                 hyper_normal.append(node.hyperplane.normal)
                 hyper_offset.append(node.hyperplane.offset)
-        return encode_tree_arrays(
-            {
-                "node_is_leaf": flags,
-                "hyper_i": hyper_i,
-                "hyper_j": hyper_j,
-                "hyper_normal": hyper_normal,
-                "hyper_offset": hyper_offset,
-                "leaf_witness": leaf_witness,
-                "leaf_row": leaf_row,
-            },
-            self.domain.dimension,
-            self.shared_order.permutation,
-            self.perm_change,
-        )
+        return {
+            "node_is_leaf": flags,
+            "hyper_i": hyper_i,
+            "hyper_j": hyper_j,
+            "hyper_normal": hyper_normal,
+            "hyper_offset": hyper_offset,
+            "leaf_witness": leaf_witness,
+            "leaf_row": leaf_row,
+        }
 
     @classmethod
     def from_arrays(
@@ -477,24 +386,14 @@ class ITree:
         engine: Optional[SplitEngine] = None,
         counters: Optional[Counters] = None,
         builder: str = "auto",
+        change_points=None,
     ) -> "ITree":
         """Rebuild a finalized tree from :meth:`to_arrays` output.
 
-        No geometry engine runs and nothing is hashed.  The node skeleton
-        (structure + hyperplanes -- everything a search touches) is built
-        eagerly; per-leaf state (region, witness, sorted-function view) is
-        *lazy*: :meth:`materialize_leaf` derives it on first use with the
-        same arithmetic the construction-time splits used (the interval
-        rule of :class:`~repro.geometry.engine.IntervalEngine` for d = 1,
-        plain constraint accumulation for the LP configuration), so every
-        materialized region's constraint set -- and therefore every
-        multi-signature subdomain digest -- is bit-identical to the
-        original build's.  Queries touch a handful of subdomains, so a
-        cold-started server never pays for the other hundred thousand;
-        intermediate node regions stay ``None`` (nothing reads them after
-        construction).  Loaded nodes are exposed in pre-order via
-        :attr:`loaded_internal_nodes` / :attr:`loaded_leaf_nodes` so the
-        IFMH layer can attach stored hashes without another traversal.
+        No geometry engine runs and nothing is hashed: the node skeleton is
+        created by :meth:`_load_columns`, the loader the bulk builder uses
+        too.  ``change_points`` (the update path hands in the ones it
+        carries) skips re-deriving them from the permutation encoding.
         """
         self = cls.__new__(cls)
         self.functions = list(functions)
@@ -503,23 +402,11 @@ class ITree:
         self.counters = counters or Counters()
         self.builder = builder
         self._insertion_checks = 0
-        ordered_functions = _functions_by_index(self.functions)
         permutation = _decode_permutation(arrays)
-        self.shared_order = SharedFunctionOrder(ordered_functions, permutation)
         self.bulk_state = None
-        self.perm_change = None
         if builder == "bulk" and domain.dimension == 1:
-            if "perm_delta_col" in arrays:
-                # The artifact's row-delta permutation encoding *is* the
-                # change-point list the update path wants.
-                counts = np.asarray(arrays["perm_delta_counts"], dtype=np.int64)
-                self.perm_change = (
-                    np.repeat(np.arange(1, counts.shape[0] + 1, dtype=np.int64), counts),
-                    np.asarray(arrays["perm_delta_col"], dtype=np.int64),
-                    np.asarray(arrays["perm_delta_val"], dtype=np.int64),
-                )
-            elif isinstance(permutation, np.ndarray):
-                self.perm_change = _permutation_change_points(permutation)
+            if change_points is None:
+                change_points = _decode_change_points(arrays, permutation)
             # Re-derive the sorted kept-breakpoint plan from the stored
             # hyperplane columns (same floats, same -offset/slope arithmetic
             # as IntervalEngine._breakpoint), so loaded bulk trees stay
@@ -535,25 +422,53 @@ class ITree:
                 hyper_normal=normals[order],
                 hyper_offset=offsets[order],
             )
+        self._load_columns(
+            tree_columns(arrays, domain.dimension),
+            SharedFunctionOrder(_functions_by_index(self.functions), permutation),
+            change_points,
+        )
+        return self
 
-        flags = np.asarray(arrays["node_is_leaf"], dtype=np.uint8).tolist()
-        hyper_i = np.asarray(arrays["hyper_i"], dtype=np.int64).tolist()
-        hyper_j = np.asarray(arrays["hyper_j"], dtype=np.int64).tolist()
-        hyper_normal = np.asarray(arrays["hyper_normal"], dtype=np.float64).tolist()
-        hyper_offset = np.asarray(arrays["hyper_offset"], dtype=np.float64).tolist()
-        leaf_witness = np.asarray(arrays["leaf_witness"], dtype=np.float64).tolist()
-        leaf_row = np.asarray(arrays["leaf_row"], dtype=np.int64).tolist()
+    def _load_columns(
+        self,
+        columns: Dict[str, np.ndarray],
+        shared_order: SharedFunctionOrder,
+        change_points,
+    ) -> None:
+        """Create the node skeleton from pre-order columns (build and load).
+
+        The skeleton (structure + hyperplanes -- everything a search
+        touches) is built eagerly; per-leaf state (region, witness,
+        sorted-function view) is *lazy*: :meth:`materialize_leaf` derives it
+        on first use with the same arithmetic the incremental builder's
+        splits use (the interval rule of
+        :class:`~repro.geometry.engine.IntervalEngine` for d = 1, plain
+        constraint accumulation for the LP configuration), so every
+        materialized region's constraint set -- and therefore every
+        multi-signature subdomain digest -- is bit-identical to an eager
+        build's.  Queries touch a handful of subdomains, so a server never
+        pays for the other hundred thousand; intermediate node regions stay
+        ``None`` (nothing reads them after construction).  The nodes are
+        exposed in pre-order via :attr:`preorder_internal_nodes` /
+        :attr:`preorder_leaf_nodes` so the IFMH layer can attach hashes
+        without another traversal.
+        """
+        flags = columns["node_is_leaf"].tolist()
+        hyper_i = columns["hyper_i"].tolist()
+        hyper_j = columns["hyper_j"].tolist()
+        hyper_normal = columns["hyper_normal"].tolist()
+        hyper_offset = columns["hyper_offset"].tolist()
         internal_count = len(hyper_offset)
-        leaf_count = len(leaf_row)
+        leaf_count = columns["leaf_row"].shape[0]
         if len(flags) != internal_count + leaf_count:
             raise ConstructionError(
                 f"I-tree arrays disagree: {len(flags)} nodes vs "
                 f"{internal_count} internal + {leaf_count} leaves"
             )
-        if leaf_count != permutation.shape[0]:
+        if leaf_count != shared_order.leaf_count:
             raise ConstructionError(
                 f"I-tree arrays disagree: {leaf_count} leaves vs "
-                f"{permutation.shape[0]} permutation rows"
+                f"{shared_order.leaf_count} permutation rows"
             )
 
         # Hot loop: one node object per array entry, nothing else.  The
@@ -561,7 +476,7 @@ class ITree:
         # values come straight from the validated arrays.
         new_hyperplane = Hyperplane.__new__
         set_frozen = object.__setattr__
-        root = ITreeNode(region=Region.full(domain))
+        root = ITreeNode(region=Region.full(self.domain))
         internal_nodes: list[ITreeNode] = []
         leaf_nodes: list[ITreeNode] = []
         stack = [root]
@@ -593,27 +508,27 @@ class ITree:
             push(above)
         if stack or internal_cursor != internal_count or leaf_cursor != leaf_count:
             raise ConstructionError("I-tree arrays describe a malformed tree")
+        self.shared_order = shared_order
+        self.perm_change = change_points
+        self.columns = columns
         self.root = root
-        self.loaded_internal_nodes = internal_nodes
-        self.loaded_leaf_nodes = leaf_nodes
-        self._lazy_leaf_data = (leaf_witness, leaf_row)
+        self.preorder_internal_nodes = internal_nodes
+        self.preorder_leaf_nodes = leaf_nodes
         self._subdomain_count = leaf_count
         self._node_count = len(flags)
-        return self
 
     def materialize_leaf(self, leaf: ITreeNode) -> None:
         """Fill a lazily loaded subdomain's region, witness and sorted view.
 
-        No-op for eagerly built trees and already-materialized leaves.  The
+        No-op for incremental builds and already-materialized leaves.  The
         region is replayed down the leaf's root path with exactly the
-        arithmetic of the original construction, so its constraint tuple
-        (and interval bounds for d = 1) is bit-identical to the eager
+        arithmetic of the incremental builder's splits, so its constraint
+        tuple (and interval bounds for d = 1) is bit-identical to an eager
         build's.
         """
-        data = getattr(self, "_lazy_leaf_data", None)
-        if data is None or leaf.witness is not None:
+        columns = self.columns
+        if columns is None or leaf.witness is not None:
             return
-        witnesses, rows = data
         path: list[ITreeNode] = []
         node = leaf
         while node.parent is not None:
@@ -658,11 +573,11 @@ class ITree:
         set_frozen(region, "interval_high", high)
         subdomain_id = leaf.subdomain_id
         leaf.region = region
-        leaf.sorted_functions = self.shared_order.view(rows[subdomain_id])
+        leaf.sorted_functions = self.shared_order.view(int(columns["leaf_row"][subdomain_id]))
         # The witness doubles as the done-marker, so it is assigned last:
         # a concurrent materialization that observes it non-None must be
         # able to read every other leaf field (execute_batch is threaded).
-        leaf.witness = tuple(witnesses[subdomain_id])
+        leaf.witness = tuple(columns["leaf_witness"][subdomain_id].tolist())
 
     # ------------------------------------------------------------ accessors
     @property
@@ -684,16 +599,12 @@ class ITree:
 
     @property
     def subdomain_count(self) -> int:
-        """Number of subdomain leaves (cached at construction time)."""
-        if self._subdomain_count is None:
-            self._subdomain_count = sum(1 for _ in self.leaves())
+        """Number of subdomain leaves (counted at construction time)."""
         return self._subdomain_count
 
     @property
     def node_count(self) -> int:
-        """Total node count (cached at construction time)."""
-        if self._node_count is None:
-            self._node_count = sum(1 for _ in self.root.iter_subtree())
+        """Total node count (counted at construction time)."""
         return self._node_count
 
     def height(self) -> int:
@@ -734,6 +645,193 @@ class ITree:
         return self.search(weights).leaf
 
 
+#: Leaves scored per vectorized chunk of :func:`sorted_rows` (bounds peak
+#: memory to ``chunk * n_functions`` floats).
+_SORT_CHUNK = 2048
+
+
+@dataclass(frozen=True)
+class _Skeleton:
+    """Pre-order layout of the balanced I-tree over ``m`` sorted breakpoints.
+
+    ``flags`` has one entry per node (1 = subdomain leaf); ``internal_mid``
+    maps each internal node (pre-order-internal order) to its sorted
+    breakpoint index; ``leaf_interval`` maps each leaf (pre-order-leaf
+    order, i.e. subdomain-id order) to its left-to-right interval index.
+    """
+
+    flags: np.ndarray
+    internal_mid: np.ndarray
+    leaf_interval: np.ndarray
+
+
+def balanced_preorder(slopes: np.ndarray) -> _Skeleton:
+    """The bulk builder's balanced tree shape over sorted breakpoints.
+
+    Each ``(low, high)`` breakpoint range contributes its median as an
+    intersection node; for a positive slope the *above* child covers the
+    right (larger-breakpoint) half, for a negative slope the left half.
+    The emission order is ``iter_subtree`` pre-order: node, above subtree,
+    below subtree.  This is the tree the incremental insertion builds when
+    fed the breakpoints median first
+    (:func:`repro.reference.balanced_incremental_itree`).
+    """
+    count = int(slopes.shape[0])
+    flags = bytearray(2 * count + 1)
+    internal_mid: list[int] = []
+    leaf_interval: list[int] = []
+    slope_list = slopes.tolist()
+    stack = [(0, count)]
+    pop = stack.pop
+    push = stack.append
+    node_id = 0
+    while stack:
+        low, high = pop()
+        if low >= high:
+            flags[node_id] = 1
+            leaf_interval.append(low)
+        else:
+            mid = (low + high) // 2
+            internal_mid.append(mid)
+            # Pre-order: the above subtree is emitted first, so it is pushed last.
+            if slope_list[mid] > 0:
+                push((low, mid))
+                push((mid + 1, high))
+            else:
+                push((mid + 1, high))
+                push((low, mid))
+        node_id += 1
+    return _Skeleton(
+        flags=np.frombuffer(bytes(flags), dtype=np.uint8),
+        internal_mid=np.asarray(internal_mid, dtype=np.int64),
+        leaf_interval=np.asarray(leaf_interval, dtype=np.int64),
+    )
+
+
+def interval_witnesses(breakpoints: np.ndarray, low: float, high: float) -> np.ndarray:
+    """The witness of every interval between consecutive kept breakpoints.
+
+    Left to right; bit-identical to :meth:`IntervalEngine.witness` of the
+    interval's region, ``(low + high) / 2.0``.
+    """
+    bounds = np.concatenate(([low], breakpoints, [high]))
+    return (bounds[:-1] + bounds[1:]) / 2.0
+
+
+def sorted_rows(witnesses: np.ndarray, slopes: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """One sorted row per witness: the stable argsort of every score there.
+
+    ``slopes`` / ``constants`` are in index order, so each row lists base
+    positions in ascending score order.  The per-element arithmetic
+    (``w * slope + constant``) matches :meth:`LinearFunction.evaluate` for
+    d = 1 and the stable argsort reproduces ``sort_functions_at`` exactly.
+    """
+    permutation = np.empty((witnesses.shape[0], slopes.shape[0]), dtype=np.int32)
+    for start in range(0, witnesses.shape[0], _SORT_CHUNK):
+        chunk = slice(start, start + _SORT_CHUNK)
+        scores = witnesses[chunk, None] * slopes[None, :] + constants[None, :]
+        permutation[chunk] = np.argsort(scores, axis=1, kind="stable")
+    return permutation
+
+
+def preorder_columns(
+    plan: BulkPlanState, witnesses: np.ndarray
+) -> tuple[_Skeleton, Dict[str, np.ndarray]]:
+    """The balanced tree over ``plan`` as the seven pre-order columns.
+
+    Permutation row ``k`` is interval ``k`` (left to right), so
+    ``leaf_row`` is each leaf's interval index.  Shared by the bulk build
+    and the incremental update, which therefore emit the same tree.
+    """
+    skeleton = balanced_preorder(plan.hyper_normal)
+    mid = skeleton.internal_mid
+    columns = {
+        "node_is_leaf": skeleton.flags,
+        "hyper_i": plan.hyper_i[mid],
+        "hyper_j": plan.hyper_j[mid],
+        "hyper_normal": plan.hyper_normal[mid].reshape(-1, 1),
+        "hyper_offset": plan.hyper_offset[mid],
+        "leaf_witness": witnesses[skeleton.leaf_interval].reshape(-1, 1),
+        "leaf_row": skeleton.leaf_interval,
+    }
+    return skeleton, columns
+
+
+def tolerance_clusters(values: np.ndarray, tolerance: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cluster id of every breakpoint candidate, and each cluster's size.
+
+    A cluster is a maximal run (in sorted order) of candidates that the
+    tolerance rule lets interact.  Two candidates interact exactly when one
+    of the replay's float predicates says so: ``pred + tolerance < value``
+    (predecessor side) or ``value < succ - tolerance`` (successor side).  A
+    cluster boundary therefore requires BOTH to hold -- computing the gap
+    by subtraction is NOT float-equivalent (e.g. with tolerance 0.1:
+    fl(1.1) - fl(1.0) > 0.1 yet fl(1.0 + 0.1) == fl(1.1)).  Consecutive
+    independence separates whole clusters: fl(a' + t) is monotone in a', so
+    any member left of a boundary clears both predicates against any
+    member right of it.
+    """
+    cluster_of = np.empty(values.shape[0], dtype=np.int64)
+    if values.shape[0] == 0:
+        return cluster_of, np.empty(0, dtype=np.int64)
+    order = np.argsort(values, kind="stable")
+    sorted_values = values[order]
+    starts = np.empty(sorted_values.shape[0], dtype=bool)
+    starts[0] = True
+    left_values = sorted_values[:-1]
+    right_values = sorted_values[1:]
+    np.logical_and(
+        left_values + tolerance < right_values,
+        left_values < right_values - tolerance,
+        out=starts[1:],
+    )
+    cluster_sorted = np.cumsum(starts) - 1
+    cluster_of[order] = cluster_sorted
+    return cluster_of, np.bincount(cluster_sorted)
+
+
+def replay_tolerance(
+    values: np.ndarray,
+    members: np.ndarray,
+    cluster_of: np.ndarray,
+    sizes: np.ndarray,
+    low: float,
+    high: float,
+    tolerance: float,
+) -> np.ndarray:
+    """Which candidates the incremental builder keeps (one verdict per member).
+
+    The builder drops a breakpoint iff it lands within tolerance of its
+    containing leaf's boundaries, i.e. of its kept neighbours, so which
+    near-duplicates survive depends on the insertion order.  ``members``
+    (indices into ``values``, in pairwise insertion order) are decided
+    cluster by cluster (:func:`tolerance_clusters`): a singleton is always
+    kept, and a multi-member cluster is replayed in pairwise order with
+    the domain bounds as fallback neighbours.  That is exact because
+    interactions never cross a cluster boundary and every candidate clears
+    the domain bounds; the full replay over every candidate
+    (:func:`repro.reference.full_tolerance_replay`) is the test oracle.
+    """
+    import bisect
+
+    verdicts = sizes[cluster_of[members]] == 1
+    multi = np.nonzero(~verdicts)[0]
+    by_cluster: Dict[int, list[int]] = {}
+    for position, cluster in zip(multi.tolist(), cluster_of[members[multi]].tolist()):
+        by_cluster.setdefault(cluster, []).append(position)
+    for positions in by_cluster.values():
+        kept_values: list[float] = []
+        for position in positions:  # already in pairwise order
+            value = float(values[members[position]])
+            slot = bisect.bisect_left(kept_values, value)
+            predecessor = kept_values[slot - 1] if slot else low
+            successor = kept_values[slot] if slot < len(kept_values) else high
+            if predecessor + tolerance < value < successor - tolerance:
+                kept_values.insert(slot, value)
+                verdicts[position] = True
+    return verdicts
+
+
 #: Rows diffed per chunk when extracting permutation change points (bounds
 #: the transient boolean matrix to a few MB however large the build is).
 _CHANGE_POINT_CHUNK = 8192
@@ -772,25 +870,16 @@ def _permutation_change_points(
     )
 
 
-def encode_tree_arrays(
-    columns: Dict[str, Sequence],
-    dimension: int,
-    permutation,
-    change_points=None,
-) -> Dict[str, np.ndarray]:
-    """The artifact arrays of an I-tree, from its pre-order columns.
+def tree_columns(columns: Dict[str, Sequence], dimension: int) -> Dict[str, np.ndarray]:
+    """The seven pre-order structure columns with their artifact dtypes.
 
-    ``columns`` holds the seven structure columns :meth:`ITree.to_arrays`
-    documents (``node_is_leaf`` ... ``leaf_row``) as lists or arrays: a
-    node walk of a live tree produces lists, an incremental update already
-    holds the arrays (:meth:`repro.ifmh.ifmh_tree.IFMHTree.to_arrays`).
-    Both go through this one routine, so the keys, their order and their
-    dtypes cannot drift apart; the shared permutation follows under the
-    encoding :func:`_encode_permutation` picks.
+    ``columns`` holds ``node_is_leaf`` ... ``leaf_row`` (documented on
+    :meth:`ITree.to_arrays`) as lists or arrays; arrays that already carry
+    the dtype are returned as they are, not copied.
     """
     hyper_count = len(columns["hyper_offset"])
     leaf_count = len(columns["leaf_row"])
-    arrays = {
+    return {
         "node_is_leaf": np.asarray(columns["node_is_leaf"], dtype=np.uint8),
         "hyper_i": np.asarray(columns["hyper_i"], dtype=np.int64),
         "hyper_j": np.asarray(columns["hyper_j"], dtype=np.int64),
@@ -803,6 +892,23 @@ def encode_tree_arrays(
         ),
         "leaf_row": np.asarray(columns["leaf_row"], dtype=np.int64),
     }
+
+
+def encode_tree_arrays(
+    columns: Dict[str, Sequence],
+    dimension: int,
+    permutation,
+    change_points=None,
+) -> Dict[str, np.ndarray]:
+    """The artifact arrays of an I-tree, from its pre-order columns.
+
+    Every I-tree publish goes through this one routine -- the columns a
+    bulk build, an artifact load or an incremental update holds, and the
+    node walk of an incremental build alike -- so the keys, their order
+    and their dtypes cannot drift apart; the shared permutation follows
+    under the encoding :func:`_encode_permutation` picks.
+    """
+    arrays = tree_columns(columns, dimension)
     arrays.update(_encode_permutation(permutation, change_points))
     return arrays
 
@@ -842,6 +948,22 @@ def _encode_permutation(permutation, change_points=None) -> dict[str, np.ndarray
                 "perm_delta_val": change_vals.astype(np.int32),
             }
     return {"permutation": np.ascontiguousarray(permutation, dtype=np.int32)}
+
+
+def _decode_change_points(arrays: dict, permutation):
+    """The permutation's change points, from the artifact's row-delta
+    encoding when it has one (that encoding *is* the change-point list) or
+    from the dense matrix."""
+    if "perm_delta_col" in arrays:
+        counts = np.asarray(arrays["perm_delta_counts"], dtype=np.int64)
+        return (
+            np.repeat(np.arange(1, counts.shape[0] + 1, dtype=np.int64), counts),
+            np.asarray(arrays["perm_delta_col"], dtype=np.int64),
+            np.asarray(arrays["perm_delta_val"], dtype=np.int64),
+        )
+    if isinstance(permutation, np.ndarray):
+        return _permutation_change_points(permutation)
+    return None
 
 
 def _decode_permutation(arrays: dict) -> np.ndarray:

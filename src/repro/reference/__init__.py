@@ -17,6 +17,9 @@ benchmark can compare the two bit for bit:
 * :func:`balanced_incremental_itree` -- the paper's insertion fed the bulk
   builder's breakpoints in median-first order, which reproduces the
   bulk-built (balanced) I-tree node for node.
+* :func:`full_tolerance_replay` -- the incremental builder's tolerance
+  drop rule replayed over every breakpoint candidate in pairwise order:
+  the kept set the cluster-wise replay must match.
 * :func:`arena_from_level_trees` -- folds per-tree Merkle levels into one
   shared arena by value: the node sharing the forest builder must match.
 
@@ -25,12 +28,17 @@ flags an import of it from any other ``repro`` module.
 """
 
 from repro.reference.ifmh import naive_ifmh_tree
-from repro.reference.itree import balanced_incremental_itree, median_first_order
+from repro.reference.itree import (
+    balanced_incremental_itree,
+    full_tolerance_replay,
+    median_first_order,
+)
 from repro.reference.merkle import arena_from_level_trees
 
 __all__ = [
     "naive_ifmh_tree",
     "balanced_incremental_itree",
+    "full_tolerance_replay",
     "median_first_order",
     "arena_from_level_trees",
 ]

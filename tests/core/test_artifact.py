@@ -38,7 +38,11 @@ from repro.core.records import Record
 from repro.core.server import Server
 from repro.workloads.generator import WorkloadConfig, make_dataset, make_template
 
-from tests.helpers import assert_queries_bit_identical, naive_reference_pair
+from tests.helpers import (
+    assert_publish_matches_forced_rebuild,
+    assert_queries_bit_identical,
+    naive_reference_pair,
+)
 
 QUERIES_1D = [
     TopKQuery(weights=(0.35,), k=4),
@@ -448,3 +452,48 @@ def test_delta_publish_over_its_own_base_writes_full(tmp_path):
     restarted = DataOwner.from_artifact(path, keypair=system.owner.keypair)
     assert restarted.epoch == 1
     assert restarted.ads.root_hash == system.owner.ads.root_hash
+
+
+def test_fresh_build_publishes_without_walking_its_nodes(tmp_path, monkeypatch):
+    """A freshly built owner publishes the columns its build assembled: no
+    node walk and no leaf materialisation, at a size where either would
+    cost more than the write."""
+    from repro.itree.itree import ITree
+    from repro.itree.nodes import ITreeNode
+
+    workload = WorkloadConfig(n_records=300, dimension=1, seed=1)
+    owner = DataOwner(
+        make_dataset(workload),
+        make_template(workload),
+        config=SystemConfig(signature_algorithm="hmac"),
+        rng=random.Random(2),
+    )
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the publish walked the I-tree")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ITree, "materialize_leaf", refuse)
+        patch.setattr(ITreeNode, "iter_subtree", refuse)
+        assert owner.publish(tmp_path / "ads.npz").mode == "full"
+    server = Server.from_artifact(tmp_path / "ads.npz")
+    live = Server(owner.outsource())
+    query = TopKQuery(weights=(0.37,), k=4)
+    assert server.execute(query).verification_object == live.execute(query).verification_object
+
+
+@pytest.mark.parametrize("scheme", ["one-signature", "multi-signature"])
+def test_fresh_and_loaded_publishes_match_the_node_walk(scheme, tmp_path):
+    """Built and loaded trees write their columns; the bytes equal the node walk's."""
+    workload = WorkloadConfig(n_records=40, dimension=1, seed=3)
+    owner = DataOwner(
+        make_dataset(workload),
+        make_template(workload),
+        config=SystemConfig(scheme=scheme, signature_algorithm="hmac"),
+        rng=random.Random(4),
+    )
+    assert "ads_perm_row0" in assert_publish_matches_forced_rebuild(owner)
+    path = tmp_path / "ads.npz"
+    owner.publish(path)
+    loaded = DataOwner.from_artifact(path, keypair=owner.keypair)
+    assert_publish_matches_forced_rebuild(loaded)

@@ -236,6 +236,95 @@ def test_updated_tree_defers_node_reconstruction():
     assert tree.root_hash == tree.itree.root.hash_value
 
 
+def test_concurrent_first_touch_waits_for_the_materialisation(monkeypatch):
+    """A thread that queries a deferred tree while another thread's first
+    touch is still loading it waits for the load, instead of finding the
+    payload gone and no ``itree`` yet (or an ``itree`` without its forest)."""
+    import threading
+
+    from repro.core.server import Server
+    from repro.itree.itree import ITree
+
+    rng = random.Random(5)
+    rows = [(round(rng.uniform(0, 8), 2), round(rng.uniform(0, 6), 2)) for _ in range(60)]
+    owner = _owner(rows)
+    owner.insert(Record(record_id=60, values=(2.2, 3.3)))
+    server = Server(owner.outsource())
+    assert "_deferred_load" in owner.ads.__dict__
+    entered, release = threading.Event(), threading.Event()
+    load = ITree.from_arrays.__func__
+
+    def held_load(cls, *args, **kwargs):
+        entered.set()
+        assert release.wait(10)
+        return load(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ITree, "from_arrays", classmethod(held_load))
+    query = TopKQuery(weights=(0.5,), k=3)
+    outcomes = [None, None]
+
+    def run(slot):
+        try:
+            outcomes[slot] = server.execute(query)
+        except Exception as error:  # noqa: BLE001 -- the failure under test
+            outcomes[slot] = error
+
+    first = threading.Thread(target=run, args=(0,))
+    first.start()
+    assert entered.wait(10)
+    second = threading.Thread(target=run, args=(1,))
+    second.start()
+    second.join(0.2)  # time to reach the half-loaded tree, if it can
+    release.set()
+    first.join(10)
+    second.join(10)
+    assert not first.is_alive() and not second.is_alive()
+    assert not any(isinstance(outcome, Exception) for outcome in outcomes), outcomes
+    assert outcomes[0].verification_object == outcomes[1].verification_object
+    assert "_deferred_load" not in owner.ads.__dict__
+
+
+def test_concurrent_first_touch_stress():
+    """Eight threads released by one barrier query a freshly updated tree
+    with a 1 us switch interval: none raises, all read the same answer."""
+    import sys
+    import threading
+
+    from repro.core.server import Server
+
+    rng = random.Random(6)
+    rows = [(round(rng.uniform(0, 8), 2), round(rng.uniform(0, 6), 2)) for _ in range(60)]
+    owner = _owner(rows)
+    query = TopKQuery(weights=(0.5,), k=3)
+    for trial in range(5):
+        owner.insert(Record(record_id=60 + trial, values=(2.2 + trial, 3.3)))
+        assert "_deferred_load" in owner.ads.__dict__
+        server = Server(owner.outsource())
+        barrier = threading.Barrier(8)
+        outcomes = [None] * 8
+
+        def run(slot):
+            barrier.wait(10)
+            try:
+                outcomes[slot] = server.execute(query).verification_object
+            except Exception as error:  # noqa: BLE001 -- the failure under test
+                outcomes[slot] = error
+
+        threads = [threading.Thread(target=run, args=(slot,)) for slot in range(8)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not any(isinstance(outcome, Exception) for outcome in outcomes), outcomes
+        assert all(outcome == outcomes[0] for outcome in outcomes)
+
+
 def test_updated_tree_publishes_without_rebuilding(tmp_path, monkeypatch):
     """A publish writes the update's own arrays: no I-tree skeleton, no
     leaf materialisation, no dense permutation -- and the tree stays

@@ -63,6 +63,21 @@ def assert_queries_bit_identical(expected, actual, queries, require_valid=True):
         ), query
 
 
+def materialized_leaves(itree):
+    """Every subdomain leaf of ``itree`` with its region, witness and sorted
+    view filled (bulk-built and loaded trees fill them on first use)."""
+    for leaf in itree.leaves():
+        itree.materialize_leaf(leaf)
+        yield leaf
+
+
+def searched_leaf(itree, weights):
+    """The materialized leaf an I-tree search lands on."""
+    leaf = itree.search(weights).leaf
+    itree.materialize_leaf(leaf)
+    return leaf
+
+
 def assert_ads_state_identical(expected_ads, actual_ads):
     """Owner-side ADS state must match hash for hash (scheme-aware)."""
     assert type(actual_ads) is type(expected_ads)
@@ -155,16 +170,17 @@ def artifact_members(payload: bytes) -> list:
         return [(info.filename, bundle.read(info)) for info in bundle.infolist()]
 
 
-def assert_publish_matches_forced_rebuild(owner: DataOwner, base, full=True) -> set:
-    """Publishing the owner's ADS as it stands == publishing it rebuilt.
+def assert_publish_matches_forced_rebuild(owner: DataOwner, base=None, full=True) -> set:
+    """Publishing the owner's IFMH tree from its columns == from its node walk.
 
-    An incrementally updated IFMH tree publishes straight from the arrays
-    its update built; touching ``ads.itree`` forces the node rebuild and
-    leaf materialisation the other publish path runs on.  A delta publish
-    against ``base`` (a full artifact of the lineage) and, with ``full``, a
-    full publish must write the same bytes either way.  Returns the names
-    of the permutation entries written, so callers can check which
-    encoding they covered.
+    A bulk-built, loaded or incrementally updated IFMH tree publishes the
+    pre-order columns and hash columns it holds; the node walk
+    (:meth:`IFMHTree.walk_arrays`) recomputes every array from the
+    materialised nodes, their FMH views and the dense permutation.  With
+    ``full`` a full publish, and with ``base`` (a full artifact of the
+    lineage) a delta publish, must write the same bytes either way.
+    Returns the names of the permutation entries written, so callers can
+    check which encoding they covered.
     """
 
     def publish_all():
@@ -173,19 +189,24 @@ def assert_publish_matches_forced_rebuild(owner: DataOwner, base, full=True) -> 
             buffer = io.BytesIO()
             owner.publish(buffer)
             written.append(artifact_members(buffer.getvalue()))
-        buffer = io.BytesIO()
-        report = owner.publish(buffer, base=base)
-        assert report.mode == "delta", report.fallback_reason
-        written.append(artifact_members(buffer.getvalue()))
+        if base is not None:
+            buffer = io.BytesIO()
+            report = owner.publish(buffer, base=base)
+            assert report.mode == "delta", report.fallback_reason
+            written.append(artifact_members(buffer.getvalue()))
         return written
 
     written = publish_all()
-    if isinstance(owner.ads, IFMHTree):
-        owner.ads.itree  # noqa: B018 -- forces a deferred update's rebuild
-    rebuilt = publish_all()
-    for fast, forced in zip(written, rebuilt):
-        assert [name for name, _ in fast] == [name for name, _ in forced]
-        differing = [name for (name, a), (_, b) in zip(fast, forced) if a != b]
-        assert differing == []
+    ads = owner.ads
+    if isinstance(ads, IFMHTree):  # a signature mesh has no node walk
+        ads.to_arrays = ads.walk_arrays  # publish through the node walk this once
+        try:
+            walked = publish_all()
+        finally:
+            del ads.to_arrays
+        for fast, forced in zip(written, walked):
+            assert [name for name, _ in fast] == [name for name, _ in forced]
+            differing = [name for (name, a), (_, b) in zip(fast, forced) if a != b]
+            assert differing == []
     names = (name[: -len(".npy")] for members in written for name, _ in members)
     return {name for name in names if name.startswith("ads_perm")}

@@ -44,7 +44,7 @@ def test_empty_dataset_rejected(univariate_template):
 
 
 def test_every_leaf_has_fmh_tree_and_hash(one_sig_tree):
-    for leaf in one_sig_tree.itree.leaves():
+    for leaf in one_sig_tree._materialized_leaves():
         assert leaf.fmh_tree is not None
         assert leaf.hash_value == leaf.fmh_tree.root
         assert leaf.fmh_tree.item_count == len(one_sig_tree.dataset)

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.errors import ConstructionError
@@ -10,8 +11,9 @@ from repro.geometry.arrangement import build_arrangement, univariate_breakpoints
 from repro.geometry.domain import Domain
 from repro.geometry.engine import IntervalEngine, LPEngine
 from repro.geometry.functions import LinearFunction
-from repro.itree.itree import ITree
+from repro.itree.itree import ITree, encode_tree_arrays
 from repro.reference import balanced_incremental_itree, median_first_order
+from tests.helpers import materialized_leaves, searched_leaf
 
 
 def _univariate_functions(count, seed=0):
@@ -39,24 +41,48 @@ def _partition(tree):
             leaf.region.interval_high,
             tuple(f.index for f in leaf.sorted_functions),
         )
-        for leaf in tree.leaves()
+        for leaf in materialized_leaves(tree)
     )
 
 
-def _structure(node):
-    """Full structural fingerprint: hyperplanes, regions, leaf payloads."""
-    if node.is_subdomain:
-        return (
-            "leaf",
-            node.region.constraints,
-            node.witness,
-            tuple(f.index for f in node.sorted_functions),
-        )
+STRUCTURE_COLUMNS = (
+    "node_is_leaf",
+    "hyper_i",
+    "hyper_j",
+    "hyper_normal",
+    "hyper_offset",
+    "leaf_witness",
+    "leaf_row",
+)
+
+
+def _leaf_fingerprint(leaf):
+    """Everything a subdomain leaf carries once materialised."""
     return (
-        (node.hyperplane, node.region.constraints),
-        _structure(node.above),
-        _structure(node.below),
+        leaf.subdomain_id,
+        leaf.region.constraints,
+        leaf.region.interval_low,
+        leaf.region.interval_high,
+        leaf.witness,
+        tuple(f.index for f in leaf.sorted_functions),
     )
+
+
+def _assert_arrays_equal(actual, expected):
+    assert list(actual) == list(expected)
+    for name in expected:
+        assert actual[name].dtype == expected[name].dtype, name
+        np.testing.assert_array_equal(actual[name], expected[name], err_msg=name)
+
+
+def _preorder_columns(tree):
+    """The published structure columns, with each leaf's sorted row in
+    pre-order-leaf order (the builders number permutation rows differently:
+    the bulk builder by interval, the incremental one in pre-order)."""
+    arrays = tree.to_arrays()
+    columns = {name: arrays[name] for name in STRUCTURE_COLUMNS if name != "leaf_row"}
+    columns["leaf_sorted_row"] = np.asarray(tree.shared_order.permutation)[arrays["leaf_row"]]
+    return columns
 
 
 def test_bulk_matches_incremental_partition(functions, domain):
@@ -69,16 +95,37 @@ def test_bulk_matches_arrangement(functions, domain):
     bulk = ITree(functions, domain, builder="bulk")
     arrangement = build_arrangement(functions, domain)
     assert bulk.subdomain_count == arrangement.size
-    for leaf in bulk.leaves():
+    for leaf in materialized_leaves(bulk):
         cell = arrangement.locate(leaf.witness)
         assert [f.index for f in leaf.sorted_functions] == cell.sorted_indices()
 
 
-def test_bulk_identical_to_balanced_incremental(functions, domain):
-    """Direct assembly reproduces the BFS insertion fed the same order, bit for bit."""
+@pytest.mark.parametrize("count, seed", [(1, 0), (2, 1), (10, 11), (40, 3)])
+def test_bulk_identical_to_balanced_incremental(count, seed, domain):
+    """Direct assembly reproduces the BFS insertion fed the same order, bit for bit.
+
+    The reference walks its nodes for every hyperplane (pre-order),
+    witness and sorted row; the bulk tree writes its columns.  Every
+    materialised leaf region, witness and sorted order must match too.
+    """
+    functions = _univariate_functions(count, seed=seed)
     bulk = ITree(functions, domain, builder="bulk")
     reference = balanced_incremental_itree(functions, domain)
-    assert _structure(bulk.root) == _structure(reference.root)
+    _assert_arrays_equal(_preorder_columns(bulk), _preorder_columns(reference))
+    assert [_leaf_fingerprint(leaf) for leaf in materialized_leaves(bulk)] == [
+        _leaf_fingerprint(leaf) for leaf in reference.leaves()
+    ]
+    assert bulk.height() == reference.height()
+    assert bulk.node_count == reference.node_count
+
+
+def test_bulk_columns_match_their_node_walk(domain):
+    """What a bulk tree publishes is what its materialised nodes say."""
+    bulk = ITree(_univariate_functions(25, seed=4), domain, builder="bulk")
+    walked = encode_tree_arrays(
+        bulk.walk_columns(), domain.dimension, bulk.shared_order.permutation
+    )
+    _assert_arrays_equal(bulk.to_arrays(), walked)
 
 
 def test_bulk_tree_is_balanced(domain):
@@ -98,7 +145,7 @@ def test_bulk_search_agrees_with_incremental(functions, domain):
     for _ in range(50):
         weights = (rng.uniform(0.0, 2.0),)
         a = incremental.search(weights).leaf
-        b = bulk.search(weights).leaf
+        b = searched_leaf(bulk, weights)
         assert [f.index for f in a.sorted_functions] == [f.index for f in b.sorted_functions]
 
 
@@ -131,7 +178,8 @@ def test_bulk_single_function(domain):
     tree = ITree([LinearFunction(index=0, coefficients=(1.0,))], domain, builder="bulk")
     assert tree.subdomain_count == 1
     assert tree.root.is_subdomain
-    assert [f.index for f in tree.root.sorted_functions] == [0]
+    (leaf,) = materialized_leaves(tree)
+    assert [f.index for f in leaf.sorted_functions] == [0]
 
 
 def test_bulk_parallel_functions_never_split(domain):
@@ -140,7 +188,8 @@ def test_bulk_parallel_functions_never_split(domain):
     ]
     tree = ITree(functions, domain, builder="bulk")
     assert tree.subdomain_count == 1
-    assert [f.index for f in tree.root.sorted_functions] == [0, 1, 2]
+    (leaf,) = materialized_leaves(tree)
+    assert [f.index for f in leaf.sorted_functions] == [0, 1, 2]
 
 
 def test_bulk_leaf_ids_are_stable_range(functions, domain):

@@ -10,6 +10,7 @@ from repro.geometry.domain import Domain
 from repro.geometry.functions import LinearFunction
 from repro.itree.itree import ITree
 from repro.metrics.counters import Counters
+from tests.helpers import materialized_leaves, searched_leaf
 
 
 def _univariate_functions(count, seed=0):
@@ -42,14 +43,14 @@ def test_leaves_match_arrangement_cell_count(functions, domain, tree):
 
 def test_every_leaf_order_matches_arrangement(functions, domain, tree):
     arrangement = build_arrangement(functions, domain)
-    for leaf in tree.leaves():
+    for leaf in materialized_leaves(tree):
         cell = arrangement.locate(leaf.witness)
         assert [f.index for f in leaf.sorted_functions] == cell.sorted_indices()
 
 
 def test_leaves_have_witness_and_ids(tree):
     ids = set()
-    for leaf in tree.leaves():
+    for leaf in materialized_leaves(tree):
         assert leaf.witness is not None
         assert leaf.region.contains(leaf.witness)
         assert leaf.subdomain_id is not None
@@ -69,10 +70,10 @@ def test_search_finds_containing_subdomain(functions, domain, tree):
     arrangement = build_arrangement(functions, domain)
     for _ in range(25):
         weights = (rng.uniform(0.0, 2.0),)
-        trace = tree.search(weights)
-        assert trace.leaf.region.contains(weights)
+        leaf = searched_leaf(tree, weights)
+        assert leaf.region.contains(weights)
         cell = arrangement.locate(weights)
-        assert [f.index for f in trace.leaf.sorted_functions] == cell.sorted_indices()
+        assert [f.index for f in leaf.sorted_functions] == cell.sorted_indices()
 
 
 def test_search_trace_structure(tree):
@@ -125,7 +126,9 @@ def test_parallel_functions_never_split(domain):
     ]
     tree = ITree(functions, domain)
     assert tree.subdomain_count == 1
-    assert [f.index for f in tree.root.sorted_functions] == [0, 1, 2]
+    (leaf,) = materialized_leaves(tree)
+    assert leaf is tree.root
+    assert [f.index for f in leaf.sorted_functions] == [0, 1, 2]
 
 
 @pytest.mark.parametrize("builder", ["bulk", "incremental"])

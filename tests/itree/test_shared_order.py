@@ -6,6 +6,7 @@ import pytest
 from repro.itree.itree import ITree
 from repro.itree.permutation import PermutedView, SharedFunctionOrder
 from repro.workloads.generator import WorkloadConfig, make_dataset, make_template
+from tests.helpers import materialized_leaves
 
 
 @pytest.fixture(params=["bulk", "incremental"])
@@ -21,7 +22,7 @@ def test_every_leaf_holds_a_view_into_the_shared_array(tree):
     shared = tree.shared_order
     assert shared is not None
     assert shared.leaf_count == tree.subdomain_count
-    for leaf in tree.leaves():
+    for leaf in materialized_leaves(tree):
         view = leaf.sorted_functions
         assert isinstance(view, PermutedView)
         assert view.base is shared.functions
@@ -31,7 +32,7 @@ def test_every_leaf_holds_a_view_into_the_shared_array(tree):
 
 
 def test_views_behave_like_the_old_lists(tree):
-    for leaf in tree.leaves():
+    for leaf in materialized_leaves(tree):
         view = leaf.sorted_functions
         materialized = list(view)
         assert len(view) == len(materialized)
@@ -44,7 +45,7 @@ def test_views_behave_like_the_old_lists(tree):
 def test_each_row_is_a_permutation_sorted_at_the_witness(tree):
     shared = tree.shared_order
     n = shared.function_count
-    for leaf in tree.leaves():
+    for leaf in materialized_leaves(tree):
         row = leaf.sorted_functions.row
         assert sorted(row.tolist()) == list(range(n))
         scores = [f.evaluate(leaf.witness) for f in leaf.sorted_functions]
@@ -89,7 +90,7 @@ def test_bulk_and_incremental_orders_agree():
     bulk = ITree(functions, template.domain, builder="bulk")
     incremental = ITree(functions, template.domain, builder="incremental")
     bulk_orders = sorted(
-        tuple(f.index for f in leaf.sorted_functions) for leaf in bulk.leaves()
+        tuple(f.index for f in leaf.sorted_functions) for leaf in materialized_leaves(bulk)
     )
     incremental_orders = sorted(
         tuple(f.index for f in leaf.sorted_functions) for leaf in incremental.leaves()

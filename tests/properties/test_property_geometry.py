@@ -6,6 +6,7 @@ from repro.geometry.arrangement import build_arrangement
 from repro.geometry.domain import Domain
 from repro.geometry.functions import LinearFunction
 from repro.itree.itree import ITree
+from tests.helpers import searched_leaf
 
 function_sets = st.lists(
     st.tuples(
@@ -59,9 +60,9 @@ def test_itree_search_agrees_with_linear_scan(functions, data):
     tree = ITree(functions, DOMAIN)
     assert tree.subdomain_count == arrangement.size
     x = data.draw(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
-    trace = tree.search((x,))
+    leaf = searched_leaf(tree, (x,))
     cell = arrangement.locate((x,))
-    assert [f.index for f in trace.leaf.sorted_functions] == cell.sorted_indices()
+    assert [f.index for f in leaf.sorted_functions] == cell.sorted_indices()
 
 
 @given(functions=function_sets)
